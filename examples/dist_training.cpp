@@ -81,6 +81,17 @@ using namespace fa3c;
 
 namespace {
 
+/** A scrape-target label such as "w3". Built by append: g++ 12
+ * raises a false -Wrestrict on "literal" + std::string&& (GCC bug
+ * 105651). */
+std::string
+targetLabel(char prefix, int index)
+{
+    std::string label(1, prefix);
+    label += std::to_string(index);
+    return label;
+}
+
 int
 usage(const char *argv0)
 {
@@ -255,7 +266,7 @@ runStats(const Options &opt)
             if (token.empty())
                 continue;
             acfg.targets.push_back(obs::ScrapeTarget{
-                "p" + std::to_string(index++), opt.host,
+                targetLabel('p', index++), opt.host,
                 std::atoi(token.c_str())});
         }
         if (acfg.targets.empty()) {
@@ -386,7 +397,7 @@ runLaunch(const char *argv0, const Options &opt, env::GameId game)
         acfg.scrapeIntervalMs = 250;
         for (int i = 0; i < opt.workers; ++i)
             acfg.targets.push_back(
-                obs::ScrapeTarget{"w" + std::to_string(i),
+                obs::ScrapeTarget{targetLabel('w', i),
                                   "127.0.0.1",
                                   workerTelemetryPort(i)});
         aggregator =
@@ -434,7 +445,7 @@ runLaunch(const char *argv0, const Options &opt, env::GameId game)
                 std::fflush(stdout);
                 if (aggregator)
                     aggregator->addTarget(obs::ScrapeTarget{
-                        "w" + std::to_string(next_index),
+                        targetLabel('w', next_index),
                         "127.0.0.1",
                         workerTelemetryPort(next_index)});
                 children.push_back(spawnWorker(

@@ -1,12 +1,8 @@
 #include "dist/ps_client.hh"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
 
 #include "net/frame.hh"
 #include "sim/logging.hh"
@@ -31,30 +27,16 @@ bool
 PsClient::connect(const std::string &host, int port)
 {
     close();
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        return false;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+    fd_ = net::connectTcp(host, static_cast<std::uint16_t>(port));
+    if (fd_ < 0 && errno == EINVAL)
         FA3C_WARN("dist: bad ps address '", host, "'");
-        ::close(fd);
-        return false;
-    }
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) != 0) {
-        ::close(fd);
-        return false;
-    }
-    net::setNoDelay(fd);
-    fd_ = fd;
-    return true;
+    return fd_ >= 0;
 }
 
 bool
 PsClient::request(wire::Type type, const std::string &payload,
-                  wire::Type want, std::string &reply)
+                  wire::Type want, std::string &reply,
+                  std::size_t reply_floats)
 {
     if (fd_ < 0)
         return false;
@@ -65,8 +47,9 @@ PsClient::request(wire::Type type, const std::string &payload,
         return false;
     }
     std::uint32_t got = 0;
-    if (!net::recvFrame(fd_, wire::kMagic, wire::kMaxPayloadBytes,
-                        got, reply) ||
+    if (!net::recvFrame(fd_, wire::kMagic,
+                        wire::maxPayloadBytes(reply_floats), got,
+                        reply) ||
         got != static_cast<std::uint32_t>(want)) {
         close();
         return false;
@@ -100,8 +83,8 @@ PsClient::pull(wire::Params &out, std::size_t expect_count,
     wire::Pull msg;
     msg.trace = trace;
     wire::encodePull(payload, msg);
-    if (!request(wire::Type::Pull, payload, wire::Type::Params,
-                 reply) ||
+    if (!request(wire::Type::Pull, payload, wire::Type::Params, reply,
+                 expect_count) ||
         !wire::decodeParams(out, reply, expect_count)) {
         close();
         return false;
@@ -115,8 +98,8 @@ PsClient::push(const wire::Push &msg, wire::PushAck &out,
 {
     std::string payload, reply;
     wire::encodePush(payload, msg);
-    if (!request(wire::Type::Push, payload, wire::Type::PushAck,
-                 reply) ||
+    if (!request(wire::Type::Push, payload, wire::Type::PushAck, reply,
+                 expect_count) ||
         !wire::decodePushAck(out, reply, expect_count)) {
         close();
         return false;

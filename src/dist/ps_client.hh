@@ -62,9 +62,11 @@ class PsClient
   private:
     int fd_ = -1;
 
-    /** Send one frame and receive one @p want-typed reply. */
+    /** Send one frame and receive one @p want-typed reply carrying
+     * at most @p reply_floats parameters (bounds its payload). */
     bool request(wire::Type type, const std::string &payload,
-                 wire::Type want, std::string &reply);
+                 wire::Type want, std::string &reply,
+                 std::size_t reply_floats = 0);
 };
 
 } // namespace fa3c::dist

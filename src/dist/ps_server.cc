@@ -1,7 +1,5 @@
 #include "dist/ps_server.hh"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -96,38 +94,16 @@ PsServer::start()
     if (!restoreOrInitialize())
         return false;
 
-    listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    std::uint16_t bound_port = 0;
+    listenFd_ = net::listenTcp(cfg_.bindAddress,
+                               static_cast<std::uint16_t>(cfg_.port),
+                               cfg_.backlog, bound_port);
     if (listenFd_ < 0) {
-        FA3C_WARN("dist: socket() failed: ", std::strerror(errno));
-        return false;
-    }
-    int one = 1;
-    (void)::setsockopt(listenFd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                       sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(cfg_.port));
-    if (::inet_pton(AF_INET, cfg_.bindAddress.c_str(),
-                    &addr.sin_addr) != 1) {
-        FA3C_WARN("dist: bad bind address '", cfg_.bindAddress, "'");
-        ::close(listenFd_);
-        listenFd_ = -1;
-        return false;
-    }
-    if (::bind(listenFd_, reinterpret_cast<sockaddr *>(&addr),
-               sizeof(addr)) != 0 ||
-        ::listen(listenFd_, cfg_.backlog) != 0) {
         FA3C_WARN("dist: bind/listen on ", cfg_.bindAddress, ":",
                   cfg_.port, " failed: ", std::strerror(errno));
-        ::close(listenFd_);
-        listenFd_ = -1;
         return false;
     }
-    sockaddr_in bound{};
-    socklen_t bound_len = sizeof(bound);
-    if (::getsockname(listenFd_, reinterpret_cast<sockaddr *>(&bound),
-                      &bound_len) == 0)
-        port_ = ntohs(bound.sin_port);
+    port_ = bound_port;
 
     telemetry_ = obs::TelemetryRegistration(
         obs::telemetry(),
@@ -469,12 +445,14 @@ PsServer::connectionMain(int fd)
     // cannot reap a worker whose push connection is still healthy.
     std::uint64_t owned_lease = 0;
 
+    const std::uint32_t max_payload =
+        wire::maxPayloadBytes(params_.paramCount());
     std::uint32_t type = 0;
     std::string payload;
     bool proto_ok = true;
     while (proto_ok && !stopping_.load(std::memory_order_relaxed)) {
-        if (!net::recvFrame(fd, wire::kMagic, wire::kMaxPayloadBytes,
-                            type, payload))
+        if (!net::recvFrame(fd, wire::kMagic, max_payload, type,
+                            payload))
             break;
         switch (static_cast<wire::Type>(type)) {
         case wire::Type::Hello:
@@ -557,7 +535,6 @@ PsServer::housekeeperMain()
                 cfg_.checkpointEverySteps)
                 writeCheckpoint();
         }
-        obs::metrics().tick();
 
         lock.lock();
     }

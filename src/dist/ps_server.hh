@@ -5,10 +5,12 @@
  * A PsServer owns the sharded global state (dist::ShardedParams), the
  * worker lease table (dist::LeaseTable), and a TCP endpoint speaking
  * dist::wire. Each accepted connection gets its own handler thread
- * (the serve::TcpServer model): a worker Hellos once — the PS
+ * blocking on one frame at a time: a worker Hellos once — the PS
  * validates its parameter layout against the server's network, grants
  * a lease, and from then on every Push renews the lease, runs the
  * staleness check, and applies the gradients through shared RMSProp.
+ * A frame claiming more than wire::maxPayloadBytes() of this network
+ * closes its connection before any payload byte is read.
  * A housekeeping thread reaps expired leases (a worker killed by
  * FA3C_FAULT_KILL_AGENT stops renewing and is dropped within one TTL;
  * a clean connection close reaps immediately) and writes periodic

@@ -1,5 +1,8 @@
 #include "dist/wire.hh"
 
+#include <algorithm>
+#include <limits>
+
 #include "sim/serial.hh"
 
 namespace fa3c::dist::wire {
@@ -48,31 +51,30 @@ writeTraceCtx(sim::ByteWriter &w, const TraceCtx &t)
     w.write(t.sampled);
 }
 
-/** Optional trailing trace context: a payload that ends where the
- * pre-trace format did decodes to a zeroed context, so old senders
- * stay compatible with new receivers. */
 bool
-readTraceCtxTail(sim::ByteReader &r, TraceCtx &t)
+readTraceCtx(sim::ByteReader &r, TraceCtx &t)
 {
-    if (r.ok() && r.remaining() == 0) {
-        t = TraceCtx{};
-        return true;
-    }
     return r.read(t.traceId) && r.read(t.spanId) && r.read(t.sampled);
 }
 
-/** Optional trailing u64 (handshake wall-clock stamps). */
-bool
-readU64Tail(sim::ByteReader &r, std::uint64_t &v)
-{
-    if (r.ok() && r.remaining() == 0) {
-        v = 0;
-        return true;
-    }
-    return r.read(v);
-}
-
 } // namespace
+
+std::uint32_t
+maxPayloadBytes(std::size_t param_count)
+{
+    // A Push has the largest fixed part of the three float-carrying
+    // messages: workerId, baseVersion, steps, wantParams, the float
+    // count, and the trace context.
+    constexpr std::size_t kPushFixedBytes =
+        3 * sizeof(std::uint64_t) + sizeof(std::uint8_t) +
+        sizeof(std::uint32_t) + 2 * sizeof(std::uint64_t) +
+        sizeof(std::uint8_t);
+    const std::size_t bytes = kPushFixedBytes +
+                              param_count * sizeof(float) +
+                              kWorkerNameSlackBytes;
+    return static_cast<std::uint32_t>(std::min<std::size_t>(
+        bytes, std::numeric_limits<std::uint32_t>::max()));
+}
 
 std::uint32_t
 layoutCrc(const nn::ParamSet &params)
@@ -102,8 +104,7 @@ decodeHello(Hello &m, std::string_view payload)
 {
     sim::ByteReader r(payload);
     return r.readBlob(m.workerName) && r.read(m.paramCount) &&
-           r.read(m.layoutCrc) && readU64Tail(r, m.clientUnixUs) &&
-           finish(r);
+           r.read(m.layoutCrc) && r.read(m.clientUnixUs) && finish(r);
 }
 
 void
@@ -127,7 +128,7 @@ decodeWelcome(Welcome &m, std::string_view payload)
     return r.read(m.workerId) && r.read(m.leaseTtlMs) &&
            r.read(m.version) && r.read(m.steps) &&
            r.read(m.totalSteps) && r.read(m.maxStaleness) &&
-           readU64Tail(r, m.serverUnixUs) && finish(r);
+           r.read(m.serverUnixUs) && finish(r);
 }
 
 void
@@ -141,9 +142,8 @@ encodePull(std::string &out, const Pull &m)
 bool
 decodePull(Pull &m, std::string_view payload)
 {
-    // An empty payload is the pre-trace Pull; decode to a zero ctx.
     sim::ByteReader r(payload);
-    return readTraceCtxTail(r, m.trace) && finish(r);
+    return readTraceCtx(r, m.trace) && finish(r);
 }
 
 void
@@ -186,7 +186,7 @@ decodePush(Push &m, std::string_view payload, std::size_t expect_count)
     return r.read(m.workerId) && r.read(m.baseVersion) &&
            r.read(m.steps) && r.read(m.wantParams) &&
            readFloats(r, m.grads, expect_count) &&
-           readTraceCtxTail(r, m.trace) && finish(r);
+           readTraceCtx(r, m.trace) && finish(r);
 }
 
 void

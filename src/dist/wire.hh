@@ -24,14 +24,16 @@
  * garbage. Parameter/gradient vectors travel as raw f32 runs with an
  * element-count prefix validated against the receiver's layout.
  *
- * Trace propagation: Pull and Push carry an optional trailing
- * TraceCtx {trace_id, span_id, sampled} so one trace spans
- * worker -> PS -> RMSProp apply. Hello/Welcome exchange wall-clock
- * timestamps (unix µs) for the handshake clock-offset estimate that
- * tools/trace_merge uses to align per-process trace files. All four
- * extensions decode tolerantly: a payload that ends where the old
- * format did yields zeroed fields, so pre-trace peers interoperate
- * in both directions.
+ * Trace propagation: Pull and Push carry a TraceCtx {trace_id,
+ * span_id, sampled} (all zero when the sender does not trace) so one
+ * trace spans worker -> PS -> RMSProp apply. Hello/Welcome exchange
+ * wall-clock timestamps (unix µs) for the handshake clock-offset
+ * estimate that tools/trace_merge uses to align per-process trace
+ * files. Every peer is built from the same tree, so each message has
+ * exactly one layout: a payload missing any field fails to decode.
+ *
+ * Frames are bounded by maxPayloadBytes(): a header claiming more
+ * closes the connection before any payload byte is buffered.
  */
 
 #ifndef FA3C_DIST_WIRE_HH
@@ -49,8 +51,18 @@ namespace fa3c::dist::wire {
 /** Protocol magic in every dist frame header. */
 inline constexpr std::uint32_t kMagic = 0xFA3CD157;
 
-/** Frames claiming a larger payload are a protocol error. */
-inline constexpr std::uint32_t kMaxPayloadBytes = 1u << 30;
+/** Room maxPayloadBytes() leaves for the one variable-length text
+ * field on the wire, the Hello's worker name. */
+inline constexpr std::size_t kWorkerNameSlackBytes = 4096;
+
+/**
+ * The largest payload a peer of a @p param_count -parameter network
+ * legitimately sends: a Push of @p param_count gradients (the
+ * biggest of Push/Params/PushAck) plus kWorkerNameSlackBytes. Both
+ * ends pass it to net::recvFrame, so a corrupt or hostile length
+ * cannot make the receiver allocate more.
+ */
+std::uint32_t maxPayloadBytes(std::size_t param_count);
 
 /** Message types (the `type` word of the net::FrameHeader). */
 enum class Type : std::uint32_t
@@ -82,7 +94,7 @@ struct Hello
     std::string workerName;
     std::uint64_t paramCount = 0;
     std::uint32_t layoutCrc = 0;
-    std::uint64_t clientUnixUs = 0; ///< sender wall clock (0 = old peer)
+    std::uint64_t clientUnixUs = 0; ///< sender wall clock
 };
 
 /** Lease grant. workerId == 0 means the hello was rejected (layout
@@ -95,7 +107,7 @@ struct Welcome
     std::uint64_t steps = 0;
     std::uint64_t totalSteps = 0;
     std::uint64_t maxStaleness = 0;
-    std::uint64_t serverUnixUs = 0; ///< PS wall clock (0 = old peer)
+    std::uint64_t serverUnixUs = 0; ///< PS wall clock
 };
 
 /** Parameter fetch; carries only the caller's trace context. */
@@ -121,7 +133,7 @@ struct Push
     std::uint64_t steps = 0;       ///< env steps consumed
     std::uint8_t wantParams = 0;   ///< piggyback fresh theta on the ack
     std::vector<float> grads;
-    TraceCtx trace; ///< optional trailing trace context
+    TraceCtx trace;
 };
 
 /** Outcome of a Push. On rejection (staleness bound exceeded or

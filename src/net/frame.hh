@@ -1,15 +1,18 @@
 /**
  * @file
- * Length-prefix framing and byte-codec helpers shared by every TCP
- * endpoint in the tree: the serving front-ends (serve/tcp.*,
- * serve/event_loop.*), the blocking serve client, and the distributed
- * training plane under src/dist. All integers little-endian, floats
- * IEEE-754 binary32; both ends are assumed little-endian hosts.
+ * Socket set-up, length-prefix framing and byte-codec helpers shared
+ * by every TCP endpoint in the tree: the serving front-end
+ * (serve/event_loop.*), the blocking serve client (serve/tcp.*), the
+ * distributed training plane under src/dist, and the telemetry HTTP
+ * endpoint. All integers little-endian, floats IEEE-754 binary32;
+ * both ends are assumed little-endian hosts.
  *
- * Three layers live here:
+ * Four layers live here:
  *
  *  - put/get: append/read trivially copyable values on byte buffers
  *    (the primitive every wire codec in the tree is built from);
+ *  - listenTcp/connectTcp: the one place an IPv4 TCP socket is
+ *    opened, bound or connected;
  *  - readFull/writeFull/setNoDelay: blocking socket I/O that retries
  *    EINTR and never raises SIGPIPE;
  *  - Frame + RecvBuffer: a generic {magic, type, length}-headed
@@ -17,9 +20,8 @@
  *    reassembly buffer non-blocking loops use to parse frames that
  *    arrive split across reads.
  *
- * The serving wire format (serve/wire.hh) predates this file and
- * carries its own headers; it builds on the put/get layer only, so
- * its frames stay bit-identical to what v1/v2 clients expect.
+ * The serving wire format (serve/wire.hh) carries its own headers and
+ * builds on the put/get layer only.
  */
 
 #ifndef FA3C_NET_FRAME_HH
@@ -52,6 +54,26 @@ get(const std::uint8_t *&p)
     p += sizeof(T);
     return v;
 }
+
+/**
+ * Open a listening IPv4 TCP socket (SOCK_CLOEXEC, SO_REUSEADDR) on
+ * @p address:@p port; port 0 binds an ephemeral port.
+ *
+ * @param bound_port  Set to the port actually bound.
+ * @return the listening descriptor (blocking), or -1 with errno set;
+ *         an unparsable @p address fails with EINVAL.
+ */
+int listenTcp(const std::string &address, std::uint16_t port,
+              int backlog, std::uint16_t &bound_port);
+
+/**
+ * Connect a blocking IPv4 TCP socket (SOCK_CLOEXEC, TCP_NODELAY) to
+ * @p host:@p port.
+ *
+ * @return the connected descriptor, or -1 with errno set; an
+ *         unparsable @p host fails with EINVAL.
+ */
+int connectTcp(const std::string &host, std::uint16_t port);
 
 /** recv() exactly @p len bytes; false on EOF or a hard error. */
 bool readFull(int fd, void *buf, std::size_t len);

@@ -47,9 +47,12 @@ probe()
             static_cast<int>(std::strtol(threads, nullptr, 10));
     info.fingerprint = info.cpuModel + "/" +
                        std::to_string(info.logicalCores) + "c";
+    // Appended piecewise: g++ 12 raises a false -Wrestrict on
+    // "literal" + std::string&& (GCC bug 105651).
     if (info.kernelThreads > 0)
-        info.fingerprint +=
-            "/" + std::to_string(info.kernelThreads) + "t";
+        info.fingerprint.append("/")
+            .append(std::to_string(info.kernelThreads))
+            .append("t");
     return info;
 }
 

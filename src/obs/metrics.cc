@@ -1,5 +1,6 @@
 #include "obs/metrics.hh"
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -102,14 +103,6 @@ MetricsRegistry::setExportPath(std::string path)
     exportPath_ = std::move(path);
 }
 
-void
-MetricsRegistry::setFlushInterval(double seconds)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    flushIntervalSec_ = seconds;
-    lastFlush_ = std::chrono::steady_clock::now();
-}
-
 std::string
 MetricsRegistry::registerGroup(const std::string &name,
                                const sim::StatGroup *group)
@@ -151,27 +144,6 @@ MetricsRegistry::sample(const std::string &group,
         return;
     std::lock_guard<std::mutex> lock(mutex_);
     owned_[group].distribution(name).sample(v);
-}
-
-void
-MetricsRegistry::tick()
-{
-    if (!enabled())
-        return;
-    std::string path;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (flushIntervalSec_ <= 0.0 || exportPath_.empty())
-            return;
-        const auto now = std::chrono::steady_clock::now();
-        const double elapsed =
-            std::chrono::duration<double>(now - lastFlush_).count();
-        if (elapsed < flushIntervalSec_)
-            return;
-        lastFlush_ = now;
-        path = exportPath_;
-    }
-    writeTo(path);
 }
 
 std::string
@@ -346,9 +318,6 @@ metrics()
             registry.setEnabled(true);
             notifyMetricsExportEnabled(registry);
         }
-        if (const char *interval =
-                std::getenv("FA3C_METRICS_INTERVAL_SEC"))
-            registry.setFlushInterval(std::strtod(interval, nullptr));
         if (const char *flush = std::getenv("FA3C_METRICS_FLUSH_SEC");
             flush && *flush)
             registry.startPeriodicFlush(std::strtod(flush, nullptr));

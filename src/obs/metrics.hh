@@ -11,10 +11,8 @@
  * the histogram.
  *
  * The global registry is enabled by FA3C_METRICS_JSON=<path>; the
- * file is written at process exit and, when
- * FA3C_METRICS_INTERVAL_SEC is set, re-written whenever tick() is
- * called at least that many wall-clock seconds after the last write.
- * FA3C_METRICS_FLUSH_SEC flushes from a background thread instead, so
+ * file is written at process exit and, when FA3C_METRICS_FLUSH_SEC
+ * is set, re-written from a background thread that often, so
  * snapshots keep landing even when no instrumented code runs; every
  * flush is an atomic temp-file-plus-rename, never a truncated JSON.
  * All instrumentation helpers are cheap no-ops while disabled.
@@ -24,7 +22,6 @@
 #define FA3C_OBS_METRICS_HH
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -61,14 +58,11 @@ class MetricsRegistry
     /** Where the JSON lands at exit / on periodic flush ("" = off). */
     void setExportPath(std::string path);
 
-    /** Minimum seconds between periodic tick() flushes (0 = off). */
-    void setFlushInterval(double seconds);
-
     /**
      * Launch a background thread that snapshots the registry to the
-     * export path every @p seconds, independent of tick() callers (a
-     * long-lived serve process flushes even when no instrumentation
-     * site runs). Idempotent; <= 0 stops the thread instead.
+     * export path every @p seconds (a long-lived serve process
+     * flushes even when no instrumentation site runs). Idempotent;
+     * <= 0 stops the thread instead.
      */
     void startPeriodicFlush(double seconds);
 
@@ -94,10 +88,6 @@ class MetricsRegistry
      * disabled). */
     void sample(const std::string &group, const std::string &name,
                 double v);
-
-    /** Periodic-flush hook; cheap while disabled or within the
-     * interval. */
-    void tick();
 
     /**
      * Register @p hook to run at the start of every snapshot
@@ -144,8 +134,6 @@ class MetricsRegistry
     mutable std::mutex mutex_;
     std::atomic<bool> enabled_{false};
     std::string exportPath_;
-    double flushIntervalSec_ = 0.0;
-    std::chrono::steady_clock::time_point lastFlush_{};
     std::map<std::string, const sim::StatGroup *> live_;
     std::map<std::string, sim::StatGroup> owned_;
     std::vector<std::pair<std::string, sim::StatGroup>> retained_;
@@ -187,7 +175,7 @@ class ScopedMetricsGroup
 
 /**
  * The process-wide registry, configured on first use from
- * FA3C_METRICS_JSON / FA3C_METRICS_INTERVAL_SEC. Its destructor (at
+ * FA3C_METRICS_JSON / FA3C_METRICS_FLUSH_SEC. Its destructor (at
  * process exit) writes the export file.
  */
 MetricsRegistry &metrics();

@@ -1,7 +1,5 @@
 #include "obs/telemetry.hh"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -10,6 +8,7 @@
 #include <memory>
 #include <sstream>
 
+#include "net/frame.hh"
 #include "obs/build_info.hh"
 #include "obs/metrics.hh"
 #include "obs/profile.hh"
@@ -46,31 +45,15 @@ sendResponse(int fd, int status, const char *reason,
 
 TelemetryServer::TelemetryServer(int port)
 {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    std::uint16_t bound_port = 0;
+    const int fd = net::listenTcp(
+        "127.0.0.1", static_cast<std::uint16_t>(port), 16, bound_port);
     if (fd < 0) {
-        FA3C_WARN("telemetry: socket() failed: ",
-                  std::strerror(errno));
-        return;
-    }
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    if (::bind(fd, reinterpret_cast<const sockaddr *>(&addr),
-               sizeof(addr)) != 0 ||
-        ::listen(fd, 16) != 0) {
         FA3C_WARN("telemetry: cannot listen on port ", port, ": ",
                   std::strerror(errno));
-        ::close(fd);
         return;
     }
-    sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    if (::getsockname(fd, reinterpret_cast<sockaddr *>(&bound),
-                      &len) == 0)
-        port_ = ntohs(bound.sin_port);
+    port_ = bound_port;
     listenFd_ = fd;
     acceptor_ = std::thread([this] { acceptLoop(); });
 }

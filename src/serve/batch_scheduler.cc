@@ -297,7 +297,6 @@ BatchScheduler::workerMain(int index)
             m.sample("serve", "batch_us", batch_us);
             m.count("serve", "batches");
             m.count("serve", "served", batch.size());
-            m.tick();
         }
     }
 }

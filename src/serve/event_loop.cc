@@ -1,8 +1,6 @@
 #include "serve/event_loop.hh"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
+#include <fcntl.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -25,8 +23,6 @@ namespace {
 /** epoll user-data ids for the two non-connection descriptors. */
 constexpr std::uint64_t kWakeId = ~std::uint64_t{0};
 constexpr std::uint64_t kListenId = ~std::uint64_t{0} - 1;
-
-using net::setNoDelay;
 
 } // namespace
 
@@ -163,41 +159,22 @@ EventLoopServer::start()
                   std::strerror(errno));
         return false;
     }
-    listenFd_ = ::socket(AF_INET,
-                         SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
-                         0);
-    if (listenFd_ < 0) {
-        FA3C_WARN("serve: socket() failed: ", std::strerror(errno));
-        ::close(epollFd_);
-        epollFd_ = -1;
-        return false;
-    }
-    int one = 1;
-    (void)::setsockopt(listenFd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                       sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(cfg_.port);
-    bool ok = ::inet_pton(AF_INET, cfg_.bindAddress.c_str(),
-                          &addr.sin_addr) == 1;
-    ok = ok &&
-         ::bind(listenFd_, reinterpret_cast<sockaddr *>(&addr),
-                sizeof(addr)) == 0 &&
-         ::listen(listenFd_, cfg_.backlog) == 0;
-    if (!ok) {
+    listenFd_ = net::listenTcp(cfg_.bindAddress, cfg_.port,
+                               cfg_.backlog, port_);
+    // The accept loop drains until EAGAIN, so the listener must not
+    // block.
+    if (listenFd_ < 0 ||
+        ::fcntl(listenFd_, F_SETFL,
+                ::fcntl(listenFd_, F_GETFL) | O_NONBLOCK) != 0) {
         FA3C_WARN("serve: bind/listen on ", cfg_.bindAddress, ":",
                   cfg_.port, " failed: ", std::strerror(errno));
-        ::close(listenFd_);
+        if (listenFd_ >= 0)
+            ::close(listenFd_);
         listenFd_ = -1;
         ::close(epollFd_);
         epollFd_ = -1;
         return false;
     }
-    sockaddr_in bound{};
-    socklen_t bound_len = sizeof(bound);
-    if (::getsockname(listenFd_, reinterpret_cast<sockaddr *>(&bound),
-                      &bound_len) == 0)
-        port_ = ntohs(bound.sin_port);
 
     epoll_event ev{};
     ev.events = EPOLLIN;
@@ -264,7 +241,7 @@ EventLoopServer::loopMain()
                         continue; // connection died first
                     // Next iteration re-finds, so a close is fine.
                     (void)finishSlot(it->second, c.seq, c.tag,
-                                     c.version, std::move(c.resp));
+                                     std::move(c.resp));
                 }
                 continue;
             }
@@ -304,7 +281,7 @@ EventLoopServer::acceptReady()
                 continue;
             return; // EAGAIN or listener gone
         }
-        setNoDelay(fd);
+        net::setNoDelay(fd);
         const std::uint64_t id = nextConnId_++;
         Conn &c = conns_[id];
         c.fd = fd;
@@ -381,29 +358,18 @@ EventLoopServer::parseFrames(Conn &c)
             // The inline flush can cascade (send failure, or a
             // half-closed peer retiring once this rejection was its
             // last owed response) into closeConn — stop parsing then.
-            if (!finishSlot(c, seq, c.drainTag, c.drainVersion,
-                            std::move(resp)))
+            if (!finishSlot(c, seq, c.drainTag, std::move(resp)))
                 return false;
             continue;
         }
         if (avail < wire::kRequestHeaderBytes)
             break;
-        wire::RequestHeader h =
-            wire::decodeRequestHeader(c.in.data());
-        if (h.version == 0) {
+        wire::RequestHeader h;
+        if (!wire::decodeRequestHeader(c.in.data(), h)) {
             FA3C_WARN("serve: bad request magic; closing connection");
             closeConn(c.id);
             return false;
         }
-        // v3 frames carry a trace-context trailer after the common
-        // header; the full header length is known once the magic is.
-        const std::size_t header_len =
-            wire::requestHeaderBytes(h.version);
-        if (avail < header_len)
-            break; // trailer split across reads; wait for the rest
-        if (h.version >= 3)
-            wire::decodeRequestTrace(
-                c.in.data() + wire::kRequestHeaderBytes, h);
         if (h.numel > cfg_.maxObsNumel) {
             // Refuse to sit in a multi-GB discard loop on the
             // claimant's schedule: oversize claims are a protocol
@@ -417,18 +383,17 @@ EventLoopServer::parseFrames(Conn &c)
         if (h.numel != wantNumel_) {
             // Wrong geometry (or absurd size): discard the payload
             // without ever buffering it, answer RejectedBadRequest.
-            c.in.consume(header_len);
+            c.in.consume(wire::kRequestHeaderBytes);
             c.draining = true;
             c.drainBytes =
                 static_cast<std::uint64_t>(h.numel) * sizeof(float);
             c.drainTag = h.tag;
-            c.drainVersion = h.version;
             continue;
         }
         const std::size_t payload = wantNumel_ * sizeof(float);
-        if (avail < header_len + payload)
+        if (avail < wire::kRequestHeaderBytes + payload)
             break; // frame split across reads; wait for the rest
-        c.in.consume(header_len);
+        c.in.consume(wire::kRequestHeaderBytes);
         std::memcpy(obsScratch_.data().data(), c.in.data(), payload);
         c.in.consume(payload);
 
@@ -444,16 +409,14 @@ EventLoopServer::parseFrames(Conn &c)
         auto bus = bus_;
         const std::uint64_t conn_id = c.id;
         const std::uint64_t tag = h.tag;
-        const int version = h.version;
         submit_(obsScratch_,
                 std::chrono::microseconds(h.deadlineUs), c.id,
                 slot.span,
-                [bus, conn_id, seq, tag, version](Response &&resp) {
+                [bus, conn_id, seq, tag](Response &&resp) {
                     Completion done;
                     done.conn = conn_id;
                     done.seq = seq;
                     done.tag = tag;
-                    done.version = version;
                     done.resp = std::move(resp);
                     bus->post(std::move(done));
                 });
@@ -465,8 +428,7 @@ EventLoopServer::parseFrames(Conn &c)
 
 bool
 EventLoopServer::finishSlot(Conn &c, std::uint64_t seq,
-                            std::uint64_t tag, int version,
-                            Response &&resp)
+                            std::uint64_t tag, Response &&resp)
 {
     const std::uint64_t idx = seq - c.headSeq;
     if (idx >= c.slots.size())
@@ -479,7 +441,7 @@ EventLoopServer::finishSlot(Conn &c, std::uint64_t seq,
         obs::emitSpan(slot.span, "serve.frontend", "frontend.request",
                       slot.recv, Clock::now(), args);
     }
-    wire::encodeResponse(slot.bytes, tag, resp, version);
+    wire::encodeResponse(slot.bytes, tag, resp);
     slot.ready = true;
     if (idx == 0)
         return flushHead(c); // false: the flush closed the conn

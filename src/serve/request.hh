@@ -72,8 +72,8 @@ struct Response
     /**
      * Back-off hint on Rejected* responses: how long the client
      * should wait before retrying, estimated from the queue drain
-     * rate at rejection time (0 = no hint; retry at will). Part of
-     * the v2 wire frame.
+     * rate at rejection time (0 = no hint; retry at will). Carried
+     * in every wire response.
      */
     std::uint32_t retryAfterUs = 0;
 };

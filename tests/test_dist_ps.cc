@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -20,6 +24,7 @@
 #include "dist/ps_client.hh"
 #include "dist/ps_server.hh"
 #include "dist/sharded_params.hh"
+#include "net/frame.hh"
 #include "nn/a3c_network.hh"
 #include "rl/global_params.hh"
 #include "sim/rng.hh"
@@ -168,6 +173,41 @@ TEST(DistPs, LayoutMismatchRejectedAtHello)
     short_count.paramCount -= 1;
     EXPECT_FALSE(client2.hello(short_count, welcome));
     EXPECT_EQ(ps.leases().active(), 0u);
+    ps.stop();
+}
+
+TEST(DistPs, OversizeFrameClaimClosesConnectionPromptly)
+{
+    const nn::A3cNetwork net(tinyNet());
+    PsServer ps(net, {});
+    ASSERT_TRUE(ps.start());
+
+    // A header claiming one byte more than any legitimate message of
+    // this network, and no body: the PS must refuse the claim before
+    // it allocates or waits for a single payload byte.
+    const int fd =
+        net::connectTcp("127.0.0.1", static_cast<std::uint16_t>(ps.port()));
+    ASSERT_GE(fd, 0);
+    const std::uint32_t cap =
+        wire::maxPayloadBytes(net.makeParams().size());
+    std::vector<std::uint8_t> header;
+    net::encodeFrameHeader(
+        header, {wire::kMagic, static_cast<std::uint32_t>(wire::Type::Push),
+                 cap + 1});
+    ASSERT_TRUE(net::writeFull(fd, header.data(), header.size()));
+
+    pollfd pfd{fd, POLLIN, 0};
+    ASSERT_EQ(::poll(&pfd, 1, 5000), 1)
+        << "the PS is still waiting for the claimed payload";
+    std::uint8_t byte = 0;
+    EXPECT_EQ(::recv(fd, &byte, 1, 0), 0);
+    ::close(fd);
+
+    // The PS keeps serving well-formed peers.
+    PsClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", ps.port()));
+    wire::Welcome welcome;
+    EXPECT_TRUE(client.hello(helloFor(net, "after"), welcome));
     ps.stop();
 }
 

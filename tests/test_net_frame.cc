@@ -1,15 +1,20 @@
 /** @file
  * Tests of the shared net framing layer: put/get codec primitives,
  * frame header encode/decode, blocking sendFrame/recvFrame over a
- * socketpair (including the bad-magic and oversize rejections), and
- * the RecvBuffer reassembly helper used by non-blocking loops.
+ * socketpair (including the bad-magic and oversize rejections), the
+ * listenTcp/connectTcp socket set-up, and the RecvBuffer reassembly
+ * helper used by non-blocking loops.
  */
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -148,6 +153,61 @@ TEST(NetFrame, ReadWriteFullHandleLargeTransfers)
     EXPECT_TRUE(net::readFull(sp.fds[1], in.data(), in.size()));
     writer.join();
     EXPECT_EQ(in, out);
+}
+
+TEST(NetFrame, ListenAndConnectTcpOverLoopback)
+{
+    std::uint16_t port = 0;
+    const int listen_fd = net::listenTcp("127.0.0.1", 0, 4, port);
+    ASSERT_GE(listen_fd, 0);
+    EXPECT_NE(port, 0); // the ephemeral port is read back
+    EXPECT_NE(::fcntl(listen_fd, F_GETFD) & FD_CLOEXEC, 0);
+    int reuse = 0;
+    socklen_t len = sizeof(reuse);
+    ASSERT_EQ(::getsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &reuse,
+                           &len),
+              0);
+    EXPECT_NE(reuse, 0);
+
+    const int client = net::connectTcp("127.0.0.1", port);
+    ASSERT_GE(client, 0);
+    int nodelay = 0;
+    len = sizeof(nodelay);
+    ASSERT_EQ(::getsockopt(client, IPPROTO_TCP, TCP_NODELAY, &nodelay,
+                           &len),
+              0);
+    EXPECT_NE(nodelay, 0);
+
+    const int server = ::accept(listen_fd, nullptr, nullptr);
+    ASSERT_GE(server, 0);
+    ASSERT_TRUE(net::sendFrame(client, kMagic, 5, "ping", 4));
+    std::uint32_t type = 0;
+    std::string got;
+    ASSERT_TRUE(net::recvFrame(server, kMagic, 16, type, got));
+    EXPECT_EQ(type, 5u);
+    EXPECT_EQ(got, "ping");
+    ::close(server);
+    ::close(client);
+    ::close(listen_fd);
+}
+
+TEST(NetFrame, SocketSetupRejectsBadAddresses)
+{
+    std::uint16_t port = 0;
+    errno = 0;
+    EXPECT_EQ(net::listenTcp("not-an-address", 0, 4, port), -1);
+    EXPECT_EQ(errno, EINVAL);
+    errno = 0;
+    EXPECT_EQ(net::connectTcp("300.1.1.1", 1), -1);
+    EXPECT_EQ(errno, EINVAL);
+
+    // A port already bound by a live listener is refused, not shared.
+    const int first = net::listenTcp("127.0.0.1", 0, 4, port);
+    ASSERT_GE(first, 0);
+    std::uint16_t again = 0;
+    EXPECT_EQ(net::listenTcp("127.0.0.1", port, 4, again), -1);
+    EXPECT_EQ(errno, EADDRINUSE);
+    ::close(first);
 }
 
 TEST(NetFrame, RecvBufferParsesSplitFrames)

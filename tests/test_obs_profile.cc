@@ -82,8 +82,9 @@ TEST(ProfScope, DisabledRecordsNothing)
     }
     const auto snap = obs::profSnapshot();
     const auto it = snap.find("test.disabled");
-    if (it != snap.end())
+    if (it != snap.end()) {
         EXPECT_EQ(it->second.count, 0u);
+    }
 }
 
 TEST(ProfScope, ThreadsMergeIntoSnapshot)

@@ -3,14 +3,12 @@
  * Epoll event-loop front-end tests: wire round trips, frames split
  * across arbitrarily small reads, pipelined in-order responses,
  * half-closed sockets that still receive owed responses, slow-reader
- * backpressure that never stalls other clients, v1 client compat
- * (both hand-built frames and TcpClient's wire-version knob),
- * wrong-geometry drains (including one racing a half-close),
- * oversize-claim rejection, and the router-backed fleet front.
+ * backpressure that never stalls other clients, wrong-geometry drains
+ * (including one racing a half-close), rejection of oversize claims
+ * and of every foreign request magic (the retired v1/v2 ones
+ * included), and the router-backed fleet front.
  */
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -21,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "net/frame.hh"
 #include "serve/event_loop.hh"
 #include "serve/tcp.hh"
 
@@ -76,15 +75,8 @@ struct RawClient
     bool
     connect(std::uint16_t port)
     {
-        fd = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (fd < 0)
-            return false;
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(port);
-        inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-        return ::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                         sizeof(addr)) == 0;
+        fd = net::connectTcp("127.0.0.1", port);
+        return fd >= 0;
     }
 
     void
@@ -138,30 +130,18 @@ struct RawClient
         return true;
     }
 
-    /** Read one response frame; fails on close or foreign magic.
-     * @p version_out reports the frame's wire version. */
+    /** Read one response frame; fails on close or foreign magic. */
     bool
-    readResponse(std::uint64_t &tag, Response &out, int &version_out)
+    readResponse(std::uint64_t &tag, Response &out)
     {
-        std::uint32_t magic = 0;
-        if (!recvAll(reinterpret_cast<std::uint8_t *>(&magic),
-                     sizeof(magic)))
-            return false;
-        if (magic == wire::kResponseMagicV1)
-            version_out = 1;
-        else if (magic == wire::kResponseMagicV2)
-            version_out = 2;
-        else if (magic == wire::kResponseMagicV3)
-            version_out = 3;
-        else
-            return false;
-        std::vector<std::uint8_t> prefix(
-            wire::responsePrefixBytes(version_out) - sizeof(magic));
+        std::vector<std::uint8_t> prefix(wire::kResponsePrefixBytes);
         if (!recvAll(prefix.data(), prefix.size()))
             return false;
         const std::uint8_t *p = prefix.data();
+        if (wire::get<std::uint32_t>(p) != wire::kResponseMagic)
+            return false;
         const std::uint32_t num_probs =
-            wire::decodeResponseAfterMagic(p, version_out, tag, out);
+            wire::decodeResponseAfterMagic(p, tag, out);
         out.policy.resize(num_probs);
         return num_probs == 0 ||
                recvAll(reinterpret_cast<std::uint8_t *>(
@@ -197,8 +177,7 @@ TEST(ServeEventLoop, RoundTripMatchesInProcessSubmit)
     const Response direct = server.submitAndWait(obs);
     ASSERT_EQ(direct.status, Status::Ok);
 
-    // TcpClient speaks the newest wire version; the event loop must
-    // serve it identically to tcp.hh's thread-per-connection front.
+    // Over the wire the answer must equal the in-process one.
     TcpClient client;
     ASSERT_TRUE(client.connect("127.0.0.1", loop.port()));
     Response wire_resp;
@@ -237,10 +216,8 @@ TEST(ServeEventLoop, FrameSplitAcrossManyReadsReassembles)
 
     std::uint64_t tag = 0;
     Response resp;
-    int version = 0;
-    ASSERT_TRUE(client.readResponse(tag, resp, version));
+    ASSERT_TRUE(client.readResponse(tag, resp));
     EXPECT_EQ(tag, 42u);
-    EXPECT_EQ(version, wire::kWireVersionLatest);
     EXPECT_EQ(resp.status, Status::Ok);
     loop.stop();
 }
@@ -275,8 +252,7 @@ TEST(ServeEventLoop, PipelinedRequestsAnswerInOrder)
     for (int i = 0; i < kBurst; ++i) {
         std::uint64_t tag = 0;
         Response resp;
-        int version = 0;
-        ASSERT_TRUE(client.readResponse(tag, resp, version));
+        ASSERT_TRUE(client.readResponse(tag, resp));
         EXPECT_EQ(tag, static_cast<std::uint64_t>(i + 1));
         EXPECT_EQ(resp.status, Status::Ok);
     }
@@ -313,8 +289,7 @@ TEST(ServeEventLoop, HalfCloseStillReceivesOwedResponses)
     for (int i = 0; i < 4; ++i) {
         std::uint64_t tag = 0;
         Response resp;
-        int version = 0;
-        ASSERT_TRUE(client.readResponse(tag, resp, version));
+        ASSERT_TRUE(client.readResponse(tag, resp));
         EXPECT_EQ(tag, static_cast<std::uint64_t>(100 + i));
         EXPECT_EQ(resp.status, Status::Ok);
     }
@@ -378,51 +353,12 @@ TEST(ServeEventLoop, SlowReaderDoesNotStallOtherClients)
     for (int i = 0; i < kBurst; ++i) {
         std::uint64_t tag = 0;
         Response resp;
-        int version = 0;
-        ASSERT_TRUE(slow.readResponse(tag, resp, version))
+        ASSERT_TRUE(slow.readResponse(tag, resp))
             << "response " << i << " never arrived";
         EXPECT_EQ(tag, static_cast<std::uint64_t>(i + 1));
         EXPECT_EQ(resp.status, Status::Ok);
     }
     feeder.join();
-    loop.stop();
-}
-
-TEST(ServeEventLoop, V1ClientIsAnsweredInV1)
-{
-    Fixture f;
-    PolicyServer server(f.net, f.config());
-    server.publish(f.params);
-    server.start();
-
-    EventLoopServer loop(server, EventLoopConfig{});
-    ASSERT_TRUE(loop.start());
-
-    RawClient client;
-    ASSERT_TRUE(client.connect(loop.port()));
-
-    // Hand-build a v1 request (encodeRequest always emits v2).
-    const tensor::Tensor obs = f.observation(0.7f);
-    std::vector<std::uint8_t> frame;
-    wire::put<std::uint32_t>(frame, wire::kRequestMagicV1);
-    wire::put<std::uint64_t>(frame, 7);
-    wire::put<std::uint32_t>(frame, 0);
-    wire::put<std::uint32_t>(frame,
-                             static_cast<std::uint32_t>(obs.numel()));
-    const auto *bytes =
-        reinterpret_cast<const std::uint8_t *>(obs.data().data());
-    frame.insert(frame.end(), bytes,
-                 bytes + obs.numel() * sizeof(float));
-    ASSERT_TRUE(client.sendAll(frame.data(), frame.size()));
-
-    std::uint64_t tag = 0;
-    Response resp;
-    int version = 0;
-    ASSERT_TRUE(client.readResponse(tag, resp, version));
-    EXPECT_EQ(version, 1) << "v1 request must get a v1 response";
-    EXPECT_EQ(tag, 7u);
-    EXPECT_EQ(resp.status, Status::Ok);
-    EXPECT_EQ(resp.retryAfterUs, 0u); // v1 frames carry no hint
     loop.stop();
 }
 
@@ -451,11 +387,10 @@ TEST(ServeEventLoop, WrongGeometryIsDrainedAndAnswered)
 
     std::uint64_t tag = 0;
     Response resp;
-    int version = 0;
-    ASSERT_TRUE(client.readResponse(tag, resp, version));
+    ASSERT_TRUE(client.readResponse(tag, resp));
     EXPECT_EQ(tag, 1u);
     EXPECT_EQ(resp.status, Status::RejectedBadRequest);
-    ASSERT_TRUE(client.readResponse(tag, resp, version));
+    ASSERT_TRUE(client.readResponse(tag, resp));
     EXPECT_EQ(tag, 2u);
     EXPECT_EQ(resp.status, Status::Ok);
     loop.stop();
@@ -486,8 +421,7 @@ TEST(ServeEventLoop, WrongGeometryThenHalfCloseInSameBatch)
     // The rejection is still owed and delivered, then a clean EOF.
     std::uint64_t tag = 0;
     Response resp;
-    int version = 0;
-    ASSERT_TRUE(client.readResponse(tag, resp, version));
+    ASSERT_TRUE(client.readResponse(tag, resp));
     EXPECT_EQ(tag, 9u);
     EXPECT_EQ(resp.status, Status::RejectedBadRequest);
     std::uint8_t byte = 0;
@@ -511,37 +445,19 @@ TEST(ServeEventLoop, OversizeNumelClaimClosesConnection)
     // A header claiming ~16 GB of observation floats must not hold
     // the connection in a discard loop: protocol error, hard close.
     std::vector<std::uint8_t> header;
-    wire::put<std::uint32_t>(header, wire::kRequestMagicV2);
+    wire::put<std::uint32_t>(header, wire::kRequestMagic);
     wire::put<std::uint64_t>(header, 1);
     wire::put<std::uint32_t>(header, 0);
     wire::put<std::uint32_t>(header, 0xFFFFFFFFu);
+    wire::put<std::uint64_t>(header, 0);
+    wire::put<std::uint64_t>(header, 0);
+    wire::put<std::uint8_t>(header, 0);
+    ASSERT_EQ(header.size(), wire::kRequestHeaderBytes);
     ASSERT_TRUE(client.sendAll(header.data(), header.size()));
 
     std::uint8_t byte = 0;
     EXPECT_EQ(::recv(client.fd, &byte, 1, 0), 0)
         << "oversize numel claim must close the connection";
-    loop.stop();
-}
-
-TEST(ServeEventLoop, ClientWireVersionKnobSpeaksV1)
-{
-    Fixture f;
-    PolicyServer server(f.net, f.config());
-    server.publish(f.params);
-    server.start();
-
-    EventLoopServer loop(server, EventLoopConfig{});
-    ASSERT_TRUE(loop.start());
-
-    // A client pinned to v1 (as it must be against a pre-v2 server)
-    // sends the v1 magic and decodes the v1 answer it gets back.
-    TcpClient client;
-    client.setWireVersion(1);
-    ASSERT_TRUE(client.connect("127.0.0.1", loop.port()));
-    Response resp;
-    ASSERT_TRUE(client.request(f.observation(0.8f), 0, resp));
-    EXPECT_EQ(resp.status, Status::Ok);
-    EXPECT_EQ(resp.retryAfterUs, 0u); // v1 frames carry no hint
     loop.stop();
 }
 
@@ -565,6 +481,37 @@ TEST(ServeEventLoop, BadMagicClosesConnection)
     EXPECT_EQ(::recv(client.fd, &byte, 1, 0), 0)
         << "bad magic must close the connection";
     loop.stop();
+}
+
+TEST(ServeEventLoop, RetiredWireMagicsCloseConnection)
+{
+    Fixture f;
+    PolicyServer server(f.net, f.config());
+    server.publish(f.params);
+    server.start();
+
+    EventLoopServer loop(server, EventLoopConfig{});
+    ASSERT_TRUE(loop.start());
+
+    // The retired v1 (0xFA3C5E01) and v2 (0xFA3C5E11) request magics
+    // take the bad-magic close path like any other foreign magic.
+    // Only the header is sent, so the server has read every byte
+    // when it closes and the client sees a clean EOF.
+    for (const std::uint32_t magic : {0xFA3C5E01u, 0xFA3C5E11u}) {
+        RawClient client;
+        ASSERT_TRUE(client.connect(loop.port()));
+        std::vector<std::uint8_t> frame =
+            encodedRequest(f.observation(0.7f), 7);
+        std::memcpy(frame.data(), &magic, sizeof(magic));
+        ASSERT_TRUE(client.sendAll(frame.data(), wire::kRequestHeaderBytes));
+
+        std::uint8_t byte = 0;
+        EXPECT_EQ(::recv(client.fd, &byte, 1, 0), 0)
+            << std::hex << "magic 0x" << magic
+            << " must close the connection";
+    }
+    loop.stop();
+    EXPECT_EQ(loop.requestsReceived(), 0u);
 }
 
 TEST(ServeEventLoop, FrontsAReplicaFleet)

@@ -1,9 +1,16 @@
-/** @file TCP front-end round trips against the in-process API. */
+/** @file
+ * The blocking TcpClient against the epoll front-end, and the serving
+ * wire format pinned byte for byte: many client connections batch
+ * server-side, a client's trace context crosses the wire, and one
+ * encoded request and response match golden bytes.
+ */
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <unistd.h>
 #include <vector>
@@ -14,7 +21,9 @@
 #include "obs/json.hh"
 #include "obs/span.hh"
 #include "obs/trace.hh"
+#include "serve/event_loop.hh"
 #include "serve/tcp.hh"
+#include "serve/wire.hh"
 
 using namespace fa3c;
 using namespace fa3c::serve;
@@ -54,6 +63,18 @@ countOccurrences(const std::string &haystack,
     return n;
 }
 
+std::string
+hex(const std::vector<std::uint8_t> &bytes)
+{
+    std::string out;
+    char byte[3];
+    for (std::uint8_t b : bytes) {
+        std::snprintf(byte, sizeof(byte), "%02x", b);
+        out += byte;
+    }
+    return out;
+}
+
 struct Fixture
 {
     nn::NetConfig netCfg = nn::NetConfig::tiny(3);
@@ -90,64 +111,6 @@ struct Fixture
 
 } // namespace
 
-TEST(ServeTcp, RoundTripMatchesInProcessSubmit)
-{
-    Fixture f;
-    PolicyServer server(f.net, f.config());
-    server.publish(f.params);
-    server.start();
-
-    TcpServer tcp(server, TcpConfig{}); // ephemeral port
-    ASSERT_TRUE(tcp.start());
-    ASSERT_NE(tcp.port(), 0);
-
-    const tensor::Tensor obs = f.observation(0.9f);
-    const Response direct = server.submitAndWait(obs);
-    ASSERT_EQ(direct.status, Status::Ok);
-
-    TcpClient client;
-    ASSERT_TRUE(client.connect("127.0.0.1", tcp.port()));
-    Response wire;
-    ASSERT_TRUE(client.request(obs, 0, wire));
-    EXPECT_EQ(wire.status, Status::Ok);
-    EXPECT_EQ(wire.action, direct.action);
-    EXPECT_FLOAT_EQ(wire.value, direct.value);
-    EXPECT_EQ(wire.modelVersion, direct.modelVersion);
-    ASSERT_EQ(wire.policy.size(), direct.policy.size());
-    for (std::size_t a = 0; a < wire.policy.size(); ++a)
-        EXPECT_FLOAT_EQ(wire.policy[a], direct.policy[a]);
-    EXPECT_GT(wire.totalUs, 0.0);
-
-    client.close();
-    tcp.stop();
-    EXPECT_EQ(tcp.connectionsAccepted(), 1u);
-}
-
-TEST(ServeTcp, WrongObservationSizeIsAnsweredNotDropped)
-{
-    Fixture f;
-    PolicyServer server(f.net, f.config());
-    server.publish(f.params);
-    server.start();
-
-    TcpServer tcp(server, TcpConfig{});
-    ASSERT_TRUE(tcp.start());
-
-    TcpClient client;
-    ASSERT_TRUE(client.connect("127.0.0.1", tcp.port()));
-    tensor::Tensor bad(tensor::Shape({7}));
-    Response wire;
-    ASSERT_TRUE(client.request(bad, 0, wire));
-    EXPECT_EQ(wire.status, Status::RejectedBadRequest);
-
-    // The connection survives a rejected request.
-    Response good;
-    ASSERT_TRUE(client.request(f.observation(1.0f), 0, good));
-    EXPECT_EQ(good.status, Status::Ok);
-
-    tcp.stop();
-}
-
 TEST(ServeTcp, ManyConnectionsBatchServerSide)
 {
     Fixture f;
@@ -155,19 +118,19 @@ TEST(ServeTcp, ManyConnectionsBatchServerSide)
     server.publish(f.params);
     server.start();
 
-    TcpServer tcp(server, TcpConfig{});
-    ASSERT_TRUE(tcp.start());
+    EventLoopServer loop(server, EventLoopConfig{});
+    ASSERT_TRUE(loop.start());
 
     constexpr int kClients = 6;
     constexpr int kRequests = 25;
     std::vector<std::thread> threads;
     std::atomic<int> ok{0};
     for (int c = 0; c < kClients; ++c) {
-        threads.emplace_back([&f, &tcp, &ok, c] {
+        threads.emplace_back([&f, &loop, &ok, c] {
             // Failures surface as a final ok-count mismatch (gtest
             // ASSERTs only abort the calling function off-thread).
             TcpClient client;
-            if (!client.connect("127.0.0.1", tcp.port()))
+            if (!client.connect("127.0.0.1", loop.port()))
                 return;
             const tensor::Tensor obs =
                 f.observation(0.5f + 0.1f * static_cast<float>(c));
@@ -182,16 +145,16 @@ TEST(ServeTcp, ManyConnectionsBatchServerSide)
     for (auto &t : threads)
         t.join();
     EXPECT_EQ(ok.load(), kClients * kRequests);
-    EXPECT_EQ(tcp.connectionsAccepted(),
+    EXPECT_EQ(loop.connectionsAccepted(),
               static_cast<std::uint64_t>(kClients));
-    tcp.stop();
+    loop.stop();
 
     const sim::StatGroup stats = server.statsSnapshot();
     EXPECT_EQ(stats.counterValue("served"),
               static_cast<std::uint64_t>(kClients * kRequests));
 }
 
-TEST(ServeTcp, V3PropagatesTraceContextAcrossTheWire)
+TEST(ServeTcp, PropagatesTraceContextAcrossTheWire)
 {
     ASSERT_NE(obs::trace(), nullptr)
         << "static init should have enabled FA3C_TRACE";
@@ -201,27 +164,27 @@ TEST(ServeTcp, V3PropagatesTraceContextAcrossTheWire)
     server.publish(f.params);
     server.start();
 
-    TcpServer tcp(server, TcpConfig{});
-    ASSERT_TRUE(tcp.start());
+    EventLoopServer loop(server, EventLoopConfig{});
+    ASSERT_TRUE(loop.start());
 
     TcpClient client;
-    ASSERT_TRUE(client.connect("127.0.0.1", tcp.port()));
+    ASSERT_TRUE(client.connect("127.0.0.1", loop.port()));
     Response r;
     ASSERT_TRUE(client.request(f.observation(0.7f), 0, r));
     EXPECT_EQ(r.status, Status::Ok);
 
-    // The client minted a sampled root context and sent it in the v3
-    // trace block...
+    // The client minted a sampled root context and sent it in the
+    // request's trace block...
     const obs::SpanContext span = client.lastSpan();
     EXPECT_NE(span.trace, 0u);
     EXPECT_TRUE(span.sampled);
 
     client.close();
-    tcp.stop(); // joins the connection thread -> server span emitted
+    loop.stop(); // the loop emitted its span before it answered
     obs::trace()->flush();
 
     // ...and the SAME trace id must appear on both the client span
-    // ("client.request") and the server span ("tcp.request"). Both
+    // ("client.request") and the server span ("frontend.request"). Both
     // sides format ids through jsonNumber, so an exact substring
     // match is well defined.
     const std::string body = readTraceFile();
@@ -233,27 +196,68 @@ TEST(ServeTcp, V3PropagatesTraceContextAcrossTheWire)
         << " not found on both sides of the wire";
 }
 
-TEST(ServeTcp, OldWireVersionsStillAnswered)
+TEST(ServeTcp, WireFramesMatchGoldenBytes)
 {
-    Fixture f;
-    PolicyServer server(f.net, f.config());
-    server.publish(f.params);
-    server.start();
+    // One request and one response in the wire layout every peer
+    // speaks. The bytes are the ones the codec has produced since the
+    // trace block and retry_after_us were added, so a client built
+    // against an earlier commit still parses what this one sends.
+    const float obs[2] = {1.0f, -2.0f};
+    obs::SpanContext trace;
+    trace.trace = 0x1122334455667788ull;
+    trace.span = 0x99AABBCCDDEEFF00ull;
+    trace.sampled = true;
+    std::vector<std::uint8_t> buf;
+    wire::encodeRequest(buf, 0x0102030405060708ull, 250000, obs, 2,
+                        trace);
+    EXPECT_EQ(hex(buf), "215e3cfa"                  // magic
+                        "0807060504030201"          // tag
+                        "90d00300"                  // deadline_us
+                        "02000000"                  // obs_numel
+                        "8877665544332211"          // trace_id
+                        "00ffeeddccbbaa99"          // parent_span_id
+                        "01"                        // sampled
+                        "0000803f000000c0");        // obs
+    ASSERT_EQ(buf.size(), wire::kRequestHeaderBytes + 2 * sizeof(float));
+    wire::RequestHeader h;
+    ASSERT_TRUE(wire::decodeRequestHeader(buf.data(), h));
+    EXPECT_EQ(h.tag, 0x0102030405060708ull);
+    EXPECT_EQ(h.deadlineUs, 250000u);
+    EXPECT_EQ(h.numel, 2u);
+    EXPECT_EQ(h.traceId, trace.trace);
+    EXPECT_EQ(h.parentSpan, trace.span);
+    EXPECT_TRUE(h.sampled);
 
-    TcpServer tcp(server, TcpConfig{});
-    ASSERT_TRUE(tcp.start());
-
-    for (int version : {1, 2}) {
-        TcpClient client;
-        client.setWireVersion(version);
-        ASSERT_TRUE(client.connect("127.0.0.1", tcp.port()));
-        Response r;
-        ASSERT_TRUE(client.request(f.observation(0.4f), 0, r))
-            << "v" << version << " request failed";
-        EXPECT_EQ(r.status, Status::Ok);
-        // Pre-v3 frames have no trace block; no context is minted.
-        EXPECT_EQ(client.lastSpan().trace, 0u);
-        client.close();
-    }
-    tcp.stop();
+    Response resp;
+    resp.status = Status::Ok;
+    resp.action = 2;
+    resp.value = 0.5f;
+    resp.modelVersion = 7;
+    resp.queueUs = 1.5;
+    resp.inferUs = 2.25;
+    resp.totalUs = 4.0;
+    resp.retryAfterUs = 0x01020304;
+    resp.policy = {0.25f, 0.75f};
+    wire::encodeResponse(buf, 0x0102030405060708ull, resp);
+    EXPECT_EQ(hex(buf), "225e3cfa"                  // magic
+                        "0807060504030201"          // tag
+                        "00"                        // status
+                        "02000000"                  // action
+                        "0000003f"                  // value
+                        "0700000000000000"          // model_version
+                        "0000c03f"                  // queue_us
+                        "00001040"                  // infer_us
+                        "00008040"                  // total_us
+                        "04030201"                  // retry_after_us
+                        "02000000"                  // num_probs
+                        "0000803e0000403f");        // probs
+    ASSERT_EQ(buf.size(), wire::kResponsePrefixBytes + 2 * sizeof(float));
+    const std::uint8_t *p = buf.data() + sizeof(std::uint32_t);
+    std::uint64_t tag = 0;
+    Response back;
+    EXPECT_EQ(wire::decodeResponseAfterMagic(p, tag, back), 2u);
+    EXPECT_EQ(tag, 0x0102030405060708ull);
+    EXPECT_EQ(back.action, 2);
+    EXPECT_EQ(back.modelVersion, 7u);
+    EXPECT_EQ(back.retryAfterUs, 0x01020304u);
 }
