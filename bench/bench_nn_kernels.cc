@@ -10,10 +10,12 @@
  * Writes $FA3C_JSON_DIR/BENCH_nn_kernels.json with one row per
  * (layer, op) pair plus header fields fw_speedup_e2e /
  * bw_speedup_e2e / batch16_fw_speedup / small_layer_speedup /
- * int8_speedup / fp16_speedup; CI gates on fw_speedup_e2e >= 2,
- * small_layer_speedup >= 1 (the narrow-FC dot path must beat the
- * panel GEMM it replaced) and int8_speedup >= 1.5 (quantized batched
- * forward on the wide serving net vs fp32 FastCpuBackend).
+ * int8_speedup / fp16_speedup, an im2col row per conv layer and a
+ * stage row (FastCpuBackend::onParamSync) per net; CI gates on
+ * fw_speedup_e2e >= 2, small_layer_speedup >= 1 (the narrow-FC dot
+ * path must beat the panel GEMM it replaced) and int8_speedup >= 1.5
+ * (quantized batched forward on the wide serving net vs fp32
+ * FastCpuBackend).
  *
  * Knobs: FA3C_NN_KERNELS_REPS (per-layer timing iterations, default
  * 30) and FA3C_NN_KERNELS_E2E_REPS (end-to-end iterations, default
@@ -244,9 +246,18 @@ benchFcLayer(const char *name, const nn::FcSpec &spec,
     std::vector<float> w(spec.weightCount()), b(spec.biasCount());
     randomize(w, rng);
     randomize(b, rng);
-    std::vector<float> wT(spec.weightCount());
-    nn::kernels::transpose(w.data(), spec.outFeatures, spec.inFeatures,
-                           wT.data());
+    // The fast forward is what FastCpuBackend runs for this width:
+    // the canonical-row dot kernel for a narrow head, else the GEMM
+    // over panels packed from the canonical weights.
+    const bool small = spec.outFeatures < nn::kernels::kSmallFcMaxOut;
+    std::vector<float> panels(
+        small ? 0
+              : nn::kernels::gemmPanelSize(spec.outFeatures,
+                                           spec.inFeatures));
+    if (!small)
+        nn::kernels::gemmPackPanelsT(spec.outFeatures, spec.inFeatures,
+                                     w.data(), spec.inFeatures,
+                                     panels.data());
 
     tensor::Tensor out(tensor::Shape({spec.outFeatures}));
     tensor::Tensor g_out(out.shape());
@@ -260,8 +271,14 @@ benchFcLayer(const char *name, const nn::FcSpec &spec,
          timeMs([&] { nn::fcForward(spec, in, w, b, out); }, reps),
          timeMs(
              [&] {
-                 nn::kernels::fcForwardFast(spec, in.data().data(), wT,
-                                            b, out.data().data());
+                 if (small)
+                     nn::kernels::fcForwardSmallBatch(
+                         spec, 1, in.data().data(), w, b,
+                         out.data().data());
+                 else
+                     nn::kernels::fcForwardFastBatchPanels(
+                         spec, 1, in.data().data(), panels, b,
+                         out.data().data());
              },
              reps)});
     results.push_back(
@@ -348,6 +365,26 @@ main(int, char **)
     }
     std::printf("%s\n", table.render().c_str());
 
+    // --- Conv lowering (pure data movement) -----------------------
+    // One im2col per conv layer and sample: a ledger row of its own,
+    // since it is the part of conv FW the GEMM does not account for.
+    std::vector<std::pair<const char *, double>> im2col_ms;
+    for (const auto &[layer, spec] :
+         {std::pair{"conv1", net.conv1()}, std::pair{"conv2", net.conv2()}}) {
+        tensor::Tensor in(tensor::Shape(
+            {spec.inChannels, spec.inHeight, spec.inWidth}));
+        in.fillUniform(rng, -1.0f, 1.0f);
+        std::vector<float> col(nn::kernels::colSize(spec));
+        im2col_ms.emplace_back(
+            layer, timeMs(
+                       [&] {
+                           nn::kernels::im2col(spec, in.data().data(),
+                                               col.data());
+                       },
+                       reps));
+        benchmark::DoNotOptimize(col.data());
+    }
+
     // --- End-to-end network passes through the backends ----------
     nn::ParamSet params = net.makeParams();
     net.initParams(params, rng);
@@ -433,15 +470,11 @@ main(int, char **)
             static_cast<std::size_t>(batch) *
             static_cast<std::size_t>(f4.outFeatures));
         randomize(small_in, rng);
-        std::vector<float> w4T(f4.weightCount());
-        nn::kernels::transpose(params.view("fc4.w").data(),
-                               f4.outFeatures, f4.inFeatures,
-                               w4T.data());
         std::vector<float> panels4(nn::kernels::gemmPanelSize(
             f4.outFeatures, f4.inFeatures));
-        nn::kernels::gemmPackPanels(f4.outFeatures, f4.inFeatures,
-                                    w4T.data(), f4.outFeatures,
-                                    panels4.data());
+        nn::kernels::gemmPackPanelsT(f4.outFeatures, f4.inFeatures,
+                                     params.view("fc4.w").data(),
+                                     f4.inFeatures, panels4.data());
         const auto small_ms = timeManyMs(
             e2e_reps,
             {[&] {
@@ -477,6 +510,14 @@ main(int, char **)
     wfast.onParamSync(wparams);
     wq8.onParamSync(wparams);
     wf16.onParamSync(wparams);
+    const std::uint64_t wide_reps = std::max<std::uint64_t>(
+        5, e2e_reps / 4);
+
+    // Per-publish staging (onParamSync) on both nets: what every
+    // serving worker pays once per published version.
+    const auto stage_ms = timeManyMs(
+        wide_reps, {[&] { fast.onParamSync(params); },
+                    [&] { wfast.onParamSync(wparams); }});
 
     std::vector<tensor::Tensor> wobs_store;
     std::vector<nn::A3cNetwork::Activations> wacts_store;
@@ -491,8 +532,6 @@ main(int, char **)
         wobs.push_back(&wobs_store[static_cast<std::size_t>(i)]);
         wacts.push_back(&wacts_store[static_cast<std::size_t>(i)]);
     }
-    const std::uint64_t wide_reps = std::max<std::uint64_t>(
-        5, e2e_reps / 4);
     const auto wide_ms = timeManyMs(
         wide_reps,
         {[&] { wfast.forwardBatch(wparams, wobs, wacts); },
@@ -528,6 +567,13 @@ main(int, char **)
                 sim::TextTable::num(wide_fp32_ms, 3),
                 sim::TextTable::num(wide_fp16_ms, 3),
                 sim::TextTable::num(fp16_speedup) + "x"});
+    for (const auto &[layer, ms] : im2col_ms)
+        e2e.addRow({std::string(layer) + " im2col", "",
+                    sim::TextTable::num(ms, 3), ""});
+    e2e.addRow({"stage (onParamSync)", "",
+                sim::TextTable::num(stage_ms[0], 3), ""});
+    e2e.addRow({"wide net stage (onParamSync)", "",
+                sim::TextTable::num(stage_ms[1], 3), ""});
     std::printf("%s\n", e2e.render().c_str());
     std::printf("Kernel ISA: %s\n", nn::kernels::isaName());
     std::printf("CI gate: fw_speedup_e2e = %.2fx (must be >= 2.0)\n",
@@ -655,5 +701,12 @@ main(int, char **)
         .set("golden_ms", wide_fp32_ms)
         .set("fast_ms", wide_fp16_ms)
         .set("speedup", fp16_speedup);
+    for (const auto &[layer, ms] : im2col_ms)
+        report.addRow().set("layer", layer).set("op", "im2col").set(
+            "fast_ms", ms);
+    report.addRow().set("layer", "net").set("op", "stage").set(
+        "fast_ms", stage_ms[0]);
+    report.addRow().set("layer", "net_wide").set("op", "stage").set(
+        "fast_ms", stage_ms[1]);
     return 0;
 }

@@ -161,6 +161,10 @@ main(int argc, char **argv)
             checkpoint_path = argv[++i];
         } else if (arg == "--demo") {
             demo = true;
+        } else if (arg.rfind("--", 0) == 0) {
+            // Also reached by a value flag given last, with no value.
+            std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
+            return 2;
         } else if (positional == 0) {
             game_name = arg;
             ++positional;

@@ -78,11 +78,11 @@ utilGauges()
 void
 publishUtilization(obs::MetricsRegistry &m)
 {
-    // The telemetry registration is deliberately leaked: it must
-    // outlive every measurement, and the server handles collectors
-    // registered for the life of the process.
-    static obs::TelemetryRegistration *reg =
-        new obs::TelemetryRegistration(
+    // One registration for the life of the process. Function-local
+    // statics are destroyed in reverse order of construction: the
+    // gauges and obs::telemetry() are built first, so both outlive it.
+    auto &g = utilGauges();
+    static const obs::TelemetryRegistration reg(
         obs::telemetry(),
         [](obs::PromWriter &w) {
             auto &g = utilGauges();
@@ -108,8 +108,6 @@ publishUtilization(obs::MetricsRegistry &m)
                         "last measurement");
         },
         "utilization");
-    (void)reg;
-    auto &g = utilGauges();
     if (m.enabled()) {
         const double infer =
             g.cuInference.load(std::memory_order_relaxed);

@@ -57,10 +57,10 @@ A3cNetwork::paramCount() const
            fc3_.biasCount() + fc4_.weightCount() + fc4_.biasCount();
 }
 
-ParamSet
-A3cNetwork::makeParams() const
+ParamSet::Layout
+A3cNetwork::paramLayout() const
 {
-    return ParamSet({
+    return {
         {"conv1.w", conv1_.weightCount()},
         {"conv1.b", conv1_.biasCount()},
         {"conv2.w", conv2_.weightCount()},
@@ -69,7 +69,7 @@ A3cNetwork::makeParams() const
         {"fc3.b", fc3_.biasCount()},
         {"fc4.w", fc4_.weightCount()},
         {"fc4.b", fc4_.biasCount()},
-    });
+    };
 }
 
 void

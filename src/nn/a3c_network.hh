@@ -79,8 +79,11 @@ class A3cNetwork
     /** Output width of FC4: numActions + 1 (value head). */
     int outSize() const { return cfg_.numActions + 1; }
 
+    /** (name, element count) of every parameter segment, in order. */
+    ParamSet::Layout paramLayout() const;
+
     /** A zeroed parameter set with this network's layout. */
-    ParamSet makeParams() const;
+    ParamSet makeParams() const { return ParamSet(paramLayout()); }
 
     /** Initialize with fan-in-scaled uniform weights, zero biases. */
     void initParams(ParamSet &params, sim::Rng &rng) const;

@@ -11,6 +11,11 @@
  *    per parameter sync with kernels::transpose (FastCpuBackend does
  *    this in onParamSync).
  *
+ * Forward lowers the input with im2col, which walks it in row order
+ * (each input row is read once and copied, strided, into the K col
+ * rows of its taps), so the lowering is plain data movement at the
+ * portable baseline flags with no per-stride special cases.
+ *
  * All kernels take a caller-provided scratch buffer of colSize(spec)
  * floats so per-call allocation never lands on the hot path. Results
  * match the golden model up to floating-point reassociation (the

@@ -4,12 +4,14 @@
  *
  * The golden fcForward in nn/layers.cc is a per-row dot product — a
  * reduction the autovectorizer cannot reassociate without
- * -ffast-math. These kernels use the transposed weight layout
- * wT[I][O] so the inner loop becomes an axpy over the output lane
- * (out[:] += in[i] * wT[i][:]), which vectorizes exactly like the
- * GEMM microkernel; in fact forward IS gemmAcc with M = 1, and the
- * batched variant the multi-agent path uses is the same call with
- * M = batch — so single and batched results are bit-identical.
+ * -ffast-math. The forward kernel instead treats the weights as the
+ * GEMM B operand wT[I][O], packed into column panels straight from
+ * the canonical w[O][I] (gemmPackPanelsT), so the inner loop becomes
+ * an axpy over the output lane (out[:] += in[i] * wT[i][:]) that
+ * vectorizes like the GEMM microkernel. One call serves any batch:
+ * the single-sample forward is M = 1 and the multi-agent path is
+ * M = batch, with the same per-element order — so single and batched
+ * results are bit-identical.
  *
  * Backward and gradient already stream the canonical [O][I] rows
  * contiguously, so they need no staged layout.
@@ -25,30 +27,13 @@
 namespace fa3c::nn::kernels {
 
 /**
- * Forward: out[O] = W * in + b using the staged transpose
- * wT[I][O].
- */
-void fcForwardFast(const FcSpec &spec, const float *in,
-                   std::span<const float> wT, std::span<const float> b,
-                   float *out);
-
-/**
- * Batched forward: out[batch][O] = in[batch][I] * wT + b per row —
- * one GEMM, so the staged weights are loaded once per k-step for the
- * whole batch instead of once per agent.
- */
-void fcForwardFastBatch(const FcSpec &spec, int batch, const float *in,
-                        std::span<const float> wT,
-                        std::span<const float> b, float *out);
-
-/**
- * Batched forward over weights pre-packed with gemmPackPanels
- * (@p wPanels = panels of wT[I][O], i.e. gemmPanelSize(O, I)
+ * Forward: out[batch][O] = in[batch][I] * wT + b per row, over
+ * weights pre-packed with gemmPackPanelsT (@p wPanels = panels of
+ * wT[I][O] built from the canonical w[O][I], gemmPanelSize(O, I)
  * floats). The panel layout streams the weight matrix sequentially
- * inside the tiled GEMM, which matters on wide layers where the
- * row-major wT walk would take a TLB miss per k step; serving
- * backends stage the panels once per parameter publish. Bit-identical
- * to fcForwardFastBatch.
+ * inside the GEMM, which matters on wide layers where a row-major wT
+ * walk would take a TLB miss per k step; backends stage the panels
+ * once per parameter sync. batch = 1 is the single-sample forward.
  */
 void fcForwardFastBatchPanels(const FcSpec &spec, int batch,
                               const float *in,

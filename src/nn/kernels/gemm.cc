@@ -51,6 +51,28 @@ gemmPackPanels(int n, int k, const float *b, int ldb, float *panels)
 }
 
 void
+gemmPackPanelsT(int n, int k, const float *bt, int ldbt, float *panels)
+{
+    // Step p writes one contiguous panel row and reads one float from
+    // each of the strip's source rows; those cache lines then serve
+    // the following steps from L1.
+    const std::size_t ld = static_cast<std::size_t>(ldbt);
+    for (int j0 = 0; j0 < n; j0 += kGemmPanelWidth) {
+        const int w = std::min(kGemmPanelWidth, n - j0);
+        const float *src = bt + static_cast<std::size_t>(j0) * ld;
+        float *dst = panels + static_cast<std::size_t>(j0 /
+                                                       kGemmPanelWidth) *
+                                  static_cast<std::size_t>(k) *
+                                  kGemmPanelWidth;
+        for (int p = 0; p < k; ++p, dst += kGemmPanelWidth)
+            for (int j = 0; j < kGemmPanelWidth; ++j)
+                dst[j] = j < w ? src[static_cast<std::size_t>(j) * ld +
+                                     static_cast<std::size_t>(p)]
+                               : 0.0f;
+    }
+}
+
+void
 gemmAccPanels(int m, int n, int k, const float *a, int lda,
               const float *panels, float *c, int ldc)
 {

@@ -27,7 +27,9 @@
  * B matrix that is reused across many calls — FC weights in a serving
  * hot loop — is staged once and then streamed sequentially instead of
  * being gathered with a large row stride (a 4 KiB-stride walk costs a
- * TLB miss per k step on wide layers).
+ * TLB miss per k step on wide layers). gemmPackPanelsT builds the
+ * same panels straight from the canonical [out][in] weight rows, so
+ * FC staging is one pass over the weights with no transposed image.
  */
 
 #ifndef FA3C_NN_KERNELS_GEMM_HH
@@ -71,6 +73,16 @@ std::size_t gemmPanelSize(int n, int k);
  */
 void gemmPackPanels(int n, int k, const float *b, int ldb,
                     float *panels);
+
+/**
+ * gemmPackPanels of B = bt^T, read straight from row-major
+ * bt[n x k] (row stride @p ldbt) — e.g. canonical FC weights
+ * w[O][I] as the B = wT[I][O] operand — in one pass, with no
+ * transposed copy in between. Element-equal to transposing bt and
+ * calling gemmPackPanels.
+ */
+void gemmPackPanelsT(int n, int k, const float *bt, int ldbt,
+                     float *panels);
 
 /**
  * C[m x n] += A[m x k] * B, with B pre-packed by gemmPackPanels.

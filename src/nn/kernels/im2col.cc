@@ -17,62 +17,6 @@ inRowBase(const ConvSpec &s, int i, int y)
            static_cast<std::size_t>(s.inWidth);
 }
 
-/**
- * dst[0..n) = src[0..n*stride) at the given stride. The strided
- * gather is the whole cost of im2col for stride > 1 convolutions (the
- * autovectorizer won't emit gathers for it), so the common strides of
- * the paper's conv layers get shuffle-vectorized paths: 8 outputs per
- * step from 2 (stride 2) or 4 (stride 4) contiguous vector loads.
- */
-inline void
-gatherRow(float *FA3C_RESTRICT dst, const float *FA3C_RESTRICT src,
-          int n, int stride)
-{
-#if defined(__GNUC__) && !defined(__clang__) || defined(__clang__)
-    typedef float v8 __attribute__((vector_size(32), aligned(4)));
-    const auto load = [](const float *p) {
-        v8 v;
-        __builtin_memcpy(&v, p, sizeof(v));
-        return v;
-    };
-    // Loop bounds use c + 8 < n (not <=) so every vector load stays
-    // within the span of gathered elements: the last load of an
-    // iteration reads a few floats past src[stride * (c + 7)], which
-    // must not cross the end of the tensor on the final row.
-    int c = 0;
-    if (stride == 2) {
-        for (; c + 8 < n; c += 8) {
-            const v8 a = load(src + 2 * c);
-            const v8 b = load(src + 2 * c + 8);
-            const v8 r = __builtin_shufflevector(a, b, 0, 2, 4, 6, 8,
-                                                 10, 12, 14);
-            __builtin_memcpy(dst + c, &r, sizeof(r));
-        }
-    } else if (stride == 4) {
-        for (; c + 8 < n; c += 8) {
-            const v8 a = load(src + 4 * c);
-            const v8 b = load(src + 4 * c + 8);
-            const v8 d = load(src + 4 * c + 16);
-            const v8 e = load(src + 4 * c + 24);
-            const v8 lo =
-                __builtin_shufflevector(a, b, 0, 4, 8, 12, 0, 0, 0, 0);
-            const v8 hi =
-                __builtin_shufflevector(d, e, 0, 4, 8, 12, 0, 0, 0, 0);
-            const v8 r = __builtin_shufflevector(lo, hi, 0, 1, 2, 3, 8,
-                                                 9, 10, 11);
-            __builtin_memcpy(dst + c, &r, sizeof(r));
-        }
-    }
-    for (; c < n; ++c)
-        dst[c] = src[static_cast<std::size_t>(c) *
-                     static_cast<std::size_t>(stride)];
-#else
-    for (int c = 0; c < n; ++c)
-        dst[c] = src[static_cast<std::size_t>(c) *
-                     static_cast<std::size_t>(stride)];
-#endif
-}
-
 } // namespace
 
 void
@@ -82,26 +26,31 @@ im2col(const ConvSpec &spec, const float *in, float *col)
     const int oh = spec.outHeight();
     const int ow = spec.outWidth();
     const int stride = spec.stride;
-    float *FA3C_RESTRICT out = col;
+    const int k = spec.kernel;
     for (int i = 0; i < spec.inChannels; ++i) {
-        for (int kr = 0; kr < spec.kernel; ++kr) {
-            for (int kc = 0; kc < spec.kernel; ++kc) {
-                // One filter tap -> one col row of all OH*OW samples.
-                for (int r = 0; r < oh; ++r) {
-                    const float *FA3C_RESTRICT src =
-                        in + inRowBase(spec, i, r * stride + kr) +
-                        static_cast<std::size_t>(kc);
-                    float *FA3C_RESTRICT dst =
-                        out + static_cast<std::size_t>(r) *
-                                  static_cast<std::size_t>(ow);
-                    if (stride == 1)
-                        std::memcpy(dst, src,
-                                    static_cast<std::size_t>(ow) *
-                                        sizeof(float));
-                    else
-                        gatherRow(dst, src, ow, stride);
+        for (int kr = 0; kr < k; ++kr) {
+            // The K col rows of taps (i, kr, 0..K), ld floats apart.
+            float *FA3C_RESTRICT taps =
+                col + (static_cast<std::size_t>(i) *
+                           static_cast<std::size_t>(k) +
+                       static_cast<std::size_t>(kr)) *
+                          static_cast<std::size_t>(k) * ld;
+            for (int r = 0; r < oh; ++r) {
+                // Row order: one input row, read once while it sits
+                // in L1, feeds output row r of all K taps.
+                const float *FA3C_RESTRICT src =
+                    in + inRowBase(spec, i, r * stride + kr);
+                float *FA3C_RESTRICT dst =
+                    taps + static_cast<std::size_t>(r) *
+                               static_cast<std::size_t>(ow);
+                for (int kc = 0; kc < k; ++kc) {
+                    const float *FA3C_RESTRICT s = src + kc;
+                    float *FA3C_RESTRICT d =
+                        dst + static_cast<std::size_t>(kc) * ld;
+                    for (int c = 0; c < ow; ++c)
+                        d[c] = s[static_cast<std::size_t>(c) *
+                                 static_cast<std::size_t>(stride)];
                 }
-                out += ld;
             }
         }
     }

@@ -7,8 +7,7 @@
 
 namespace fa3c::nn {
 
-ParamSet::ParamSet(
-    const std::vector<std::pair<std::string, std::size_t>> &layout)
+ParamSet::ParamSet(const Layout &layout)
 {
     std::size_t offset = 0;
     segments_.reserve(layout.size());
@@ -54,6 +53,15 @@ ParamSet::sameLayout(const ParamSet &other) const
             return false;
     }
     return true;
+}
+
+bool
+ParamSet::sameLayout(const Layout &layout) const
+{
+    return std::equal(segments_.begin(), segments_.end(), layout.begin(),
+                      layout.end(), [](const Segment &s, const auto &l) {
+                          return s.name == l.first && s.count == l.second;
+                      });
 }
 
 void

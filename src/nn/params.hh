@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/rng.hh"
@@ -38,13 +39,15 @@ class ParamSet
         std::size_t count;
     };
 
+    /** (name, element count) per segment, in order. */
+    using Layout = std::vector<std::pair<std::string, std::size_t>>;
+
     ParamSet() = default;
 
     /**
      * Build from (name, element-count) pairs, zero-initialized.
      */
-    explicit ParamSet(
-        const std::vector<std::pair<std::string, std::size_t>> &layout);
+    explicit ParamSet(const Layout &layout);
 
     /** Total number of float elements. */
     std::size_t size() const { return data_.size(); }
@@ -69,6 +72,9 @@ class ParamSet
 
     /** True when @p other has the identical segment layout. */
     bool sameLayout(const ParamSet &other) const;
+
+    /** True when the segments are exactly @p layout. */
+    bool sameLayout(const Layout &layout) const;
 
     /** Set every element to zero. */
     void zero();

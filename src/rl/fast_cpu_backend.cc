@@ -60,8 +60,7 @@ class KernelTimer
 FastCpuBackend::FastCpuBackend(const nn::A3cNetwork &net)
     : net_(net),
       conv2WT_(net.conv2().weightCount()),
-      fc3WT_(net.fc3().weightCount()),
-      fc4WT_(net.fc4().weightCount()),
+      fc4Small_(net.fc4().outFeatures < nn::kernels::kSmallFcMaxOut),
       colScratch_(std::max(nn::kernels::colSize(net.conv1()),
                            nn::kernels::colSize(net.conv2()))),
       gFc3Act_(tensor::Shape({net.fc3().outFeatures})),
@@ -76,7 +75,6 @@ FastCpuBackend::FastCpuBackend(const nn::A3cNetwork &net)
                                 net.conv1().outWidth()})),
       gConv1Pre_(gConv1Act_.shape())
 {
-    fc4Small_ = net.fc4().outFeatures < nn::kernels::kSmallFcMaxOut;
 }
 
 void
@@ -89,26 +87,22 @@ FastCpuBackend::onParamSync(const nn::ParamSet &params)
     nn::kernels::transpose(
         params.view("conv2.w").data(), c2.outChannels,
         static_cast<int>(nn::kernels::patchSize(c2)), conv2WT_.data());
-    nn::kernels::transpose(params.view("fc3.w").data(), f3.outFeatures,
-                           f3.inFeatures, fc3WT_.data());
-    // Panel-packed wT for batched FC forward: built per sync/publish,
-    // amortized over every batch served until the next one. A small
-    // FC4 head needs neither image — its forward runs the
-    // canonical-row dot kernel straight off the ParamSet.
+    // FC forward panels, packed in one pass straight from the
+    // canonical [O][I] weights, sized on first use (a quantized
+    // subclass that never runs the fp32 forward holds none). A small
+    // FC4 head needs no image — its forward runs the canonical-row
+    // dot kernel off the ParamSet.
     fc3Panels_.resize(
         nn::kernels::gemmPanelSize(f3.outFeatures, f3.inFeatures));
-    nn::kernels::gemmPackPanels(f3.outFeatures, f3.inFeatures,
-                                fc3WT_.data(), f3.outFeatures,
-                                fc3Panels_.data());
+    nn::kernels::gemmPackPanelsT(f3.outFeatures, f3.inFeatures,
+                                 params.view("fc3.w").data(),
+                                 f3.inFeatures, fc3Panels_.data());
     if (!fc4Small_) {
-        nn::kernels::transpose(params.view("fc4.w").data(),
-                               f4.outFeatures, f4.inFeatures,
-                               fc4WT_.data());
         fc4Panels_.resize(
             nn::kernels::gemmPanelSize(f4.outFeatures, f4.inFeatures));
-        nn::kernels::gemmPackPanels(f4.outFeatures, f4.inFeatures,
-                                    fc4WT_.data(), f4.outFeatures,
-                                    fc4Panels_.data());
+        nn::kernels::gemmPackPanelsT(f4.outFeatures, f4.inFeatures,
+                                     params.view("fc4.w").data(),
+                                     f4.inFeatures, fc4Panels_.data());
     }
     staged_ = true;
 }
@@ -117,9 +111,11 @@ void
 FastCpuBackend::ensureStaged(const nn::ParamSet &params)
 {
     // Trainers call onParamSync after every parameter sync; this
-    // covers direct use (tests, benches) that skips the sync protocol.
+    // covers direct use (tests, benches) that skips the sync protocol,
+    // and a quantized subclass, whose own sync leaves the fp32 images
+    // stale: hence the non-virtual call.
     if (!staged_)
-        onParamSync(params);
+        FastCpuBackend::onParamSync(params);
 }
 
 void
@@ -158,10 +154,9 @@ FastCpuBackend::forward(const nn::ParamSet &params,
     forwardConvs(params, obs, act);
     {
         KernelTimer t("fc_fw");
-        nn::kernels::fcForwardFast(net_.fc3(),
-                                   act.conv2Flat.data().data(), fc3WT_,
-                                   params.view("fc3.b"),
-                                   act.fc3Pre.data().data());
+        nn::kernels::fcForwardFastBatchPanels(
+            net_.fc3(), 1, act.conv2Flat.data().data(), fc3Panels_,
+            params.view("fc3.b"), act.fc3Pre.data().data());
     }
     nn::reluForward(act.fc3Pre, act.fc3Act);
     {
@@ -172,8 +167,8 @@ FastCpuBackend::forward(const nn::ParamSet &params,
                 params.view("fc4.w"), params.view("fc4.b"),
                 act.out.data().data());
         else
-            nn::kernels::fcForwardFast(
-                net_.fc4(), act.fc3Act.data().data(), fc4WT_,
+            nn::kernels::fcForwardFastBatchPanels(
+                net_.fc4(), 1, act.fc3Act.data().data(), fc4Panels_,
                 params.view("fc4.b"), act.out.data().data());
     }
 }

@@ -10,14 +10,17 @@
  *  - convolutions go through an im2col patch matrix and a
  *    register-blocked axpy-form GEMM that autovectorizes without
  *    -ffast-math;
- *  - FC forward uses a transposed weight image wT[I][O] staged once
- *    per parameter sync in onParamSync() (the same stage-on-sync
- *    pattern the FA3C datapath backend uses for its FW/BW layouts);
- *  - forwardBatch() runs the two FC layers as one M = batch GEMM over
- *    weight panels packed at parameter-sync time, so the PAAC
- *    rollout, the GA3C predictor, and the serving scheduler read the
- *    FC weight matrices once per batch instead of once per request —
- *    the dominant cost of single-request inference on wide layers.
+ *  - FC forward runs a GEMM over one weight image per layer: column
+ *    panels of wT[I][O] packed in one pass straight from the
+ *    canonical [O][I] weights in onParamSync() (the same
+ *    stage-on-sync pattern the FA3C datapath backend uses for its
+ *    FW/BW layouts, and FA3C's own single-copy-plus-layout-on-load);
+ *  - forward() runs it with M = 1 and forwardBatch() with M = batch,
+ *    so the PAAC rollout, the GA3C predictor, and the serving
+ *    scheduler read the FC weight matrices once per batch instead of
+ *    once per request — the dominant cost of single-request
+ *    inference on wide layers — and both entry points give
+ *    bit-identical results.
  *
  * Each instance owns its scratch buffers, so it is single-agent like
  * every other DnnBackend; trainers construct one per agent.
@@ -40,7 +43,7 @@ class FastCpuBackend : public DnnBackend
 
     const nn::A3cNetwork &network() const override { return net_; }
 
-    /** Restages the transposed weight images from @p params. */
+    /** Restages the conv2 transpose and FC panels from @p params. */
     void onParamSync(const nn::ParamSet &params) override;
 
     void forward(const nn::ParamSet &params, const tensor::Tensor &obs,
@@ -73,23 +76,21 @@ class FastCpuBackend : public DnnBackend
 
     const nn::A3cNetwork &net_;
 
-    // Staged transposed weight images (rebuilt in onParamSync). Conv1
-    // needs none: its forward uses the canonical [O][I*K*K] layout and
+    // Staged weight images (rebuilt in onParamSync). Conv1 needs
+    // none: its forward uses the canonical [O][I*K*K] layout and
     // backward into the game screen is never computed.
-    std::vector<float> conv2WT_; ///< [I*K*K][O] for conv2 BW
-    std::vector<float> fc3WT_;   ///< [I][O] for fc3 FW
-    std::vector<float> fc4WT_;   ///< [I][O] for fc4 FW
-    std::vector<float> fc3Panels_; ///< packed wT panels for batched FW
-    std::vector<float> fc4Panels_; ///< packed wT panels for batched FW
-    bool staged_ = false;
+    std::vector<float> conv2WT_;   ///< [I*K*K][O] for conv2 BW
+    std::vector<float> fc3Panels_; ///< wT panels for fc3 FW
     /**
-     * FC4 heads narrower than kernels::kSmallFcMaxOut skip the
-     * wT/panel staging entirely and run the canonical-row dot-product
-     * kernel: the panel layout pads every strip to 32 columns, which
-     * for the 5-wide head wastes 6x the weight bandwidth (the cause
-     * of the old fc4 0.5x regression vs golden).
+     * FC4 heads narrower than kernels::kSmallFcMaxOut skip the panel
+     * staging entirely and run the canonical-row dot-product kernel:
+     * the panel layout pads every strip to 32 columns, which for the
+     * 5-wide head wastes 6x the weight bandwidth (the cause of the
+     * old fc4 0.5x regression vs golden).
      */
-    bool fc4Small_ = false;
+    bool fc4Small_;
+    std::vector<float> fc4Panels_; ///< wT panels for fc4 FW (wide heads)
+    bool staged_ = false;
 
     // Per-agent scratch: one im2col/im2row patch matrix (sized for the
     // larger conv) plus the backward-pass gradient tensors, allocated

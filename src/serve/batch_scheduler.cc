@@ -161,9 +161,9 @@ BatchScheduler::workerMain(int index)
             // backends facing an unquantized publish) restages from
             // the fp32 params.
             if (backend->wantsQuantized() && model->quant)
-                backend->onQuantSync(model->params, model->quant);
+                backend->onQuantSync(*model->params, model->quant);
             else
-                backend->onParamSync(model->params);
+                backend->onParamSync(*model->params);
             staged_version = model->version;
             std::lock_guard<std::mutex> lock(*statsMutex_);
             stats_->counter("param_stages").inc();
@@ -178,7 +178,7 @@ BatchScheduler::workerMain(int index)
         const auto t0 = Clock::now();
         {
             FA3C_PROF_SCOPE("serve.infer");
-            backend->forwardBatch(model->params, obs_ptrs, act_ptrs);
+            backend->forwardBatch(*model->params, obs_ptrs, act_ptrs);
         }
         const auto t1 = Clock::now();
         const double infer_us = usBetween(t0, t1);

@@ -12,7 +12,7 @@ ModelRegistry::enableQuantization(const nn::A3cNetwork &net,
 }
 
 std::uint64_t
-ModelRegistry::publish(nn::ParamSet &&params)
+ModelRegistry::publish(std::shared_ptr<const nn::ParamSet> params)
 {
     auto model = std::make_shared<Model>();
     model->params = std::move(params);
@@ -27,7 +27,7 @@ ModelRegistry::publish(nn::ParamSet &&params)
     // from readers (they keep serving the previous version meanwhile).
     if (qnet)
         model->quant = std::make_shared<const nn::QuantizedModel>(
-            nn::quantizeModel(*qnet, model->params, qmode));
+            nn::quantizeModel(*qnet, *model->params, qmode));
     std::lock_guard<std::mutex> lock(mutex_);
     model->version = nextVersion_++;
     current_ = std::move(model);

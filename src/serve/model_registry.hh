@@ -10,7 +10,9 @@
  *
  * This is the serving-side counterpart of rl::GlobalParams::snapshot:
  * publishers copy theta out under that lock, and the registry turns
- * the copy into an immutable, reference-counted version.
+ * the copy into an immutable, reference-counted version. The
+ * parameter set itself is held by a shared_ptr, so a fleet publish
+ * hands one image to every replica's registry instead of a copy each.
  */
 
 #ifndef FA3C_SERVE_MODEL_REGISTRY_HH
@@ -33,7 +35,8 @@ class ModelRegistry
     struct Model
     {
         std::uint64_t version = 0;
-        nn::ParamSet params;
+        /** The published set; may be shared with other registries. */
+        std::shared_ptr<const nn::ParamSet> params;
         /**
          * Quantized image of params, built once at publish time when
          * quantization is enabled (nullptr otherwise). Workers whose
@@ -52,13 +55,13 @@ class ModelRegistry
                             nn::QuantMode mode);
 
     /**
-     * Publish @p params as the next version (the set is moved in and
-     * frozen). Never blocks in-flight batches; with quantization
+     * Publish @p params (non-null, immutable from here on) as the next
+     * version. Never blocks in-flight batches; with quantization
      * enabled the quantized image is built outside the registry lock.
      *
      * @return The new version number (1-based, monotonic).
      */
-    std::uint64_t publish(nn::ParamSet &&params);
+    std::uint64_t publish(std::shared_ptr<const nn::ParamSet> params);
 
     /**
      * The newest version, or nullptr before the first publish. The

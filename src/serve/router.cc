@@ -157,27 +157,28 @@ ReplicaRouter::stop()
 std::uint64_t
 ReplicaRouter::publish(const nn::ParamSet &params)
 {
+    return publishImage(std::make_shared<const nn::ParamSet>(params));
+}
+
+std::uint64_t
+ReplicaRouter::publishImage(std::shared_ptr<const nn::ParamSet> params)
+{
     // Serialized: concurrent publishes would interleave per-replica
     // version counters and break the lockstep the readyz probe (and
     // the hot-swap test) asserts.
     std::lock_guard<std::mutex> lock(publishMutex_);
     std::uint64_t version = 0;
-    for (auto &r : replicas_) {
-        nn::ParamSet copy = net_.makeParams();
-        copy.copyFrom(params);
-        version = std::max(version, r->publish(std::move(copy)));
-    }
+    for (auto &r : replicas_)
+        version = std::max(version, r->publish(params));
     // Replicas normally move in lockstep, but a caller may have
     // published to one directly via replica(); level any laggard with
-    // catch-up copies (each publish bumps its registry by exactly
-    // one) instead of aborting the fleet over the skew.
+    // catch-up publishes of the same image (each bumps its registry
+    // by exactly one) instead of aborting the fleet over the skew.
     bool diverged = false;
     for (auto &r : replicas_) {
         while (r->modelVersion() < version) {
             diverged = true;
-            nn::ParamSet copy = net_.makeParams();
-            copy.copyFrom(params);
-            r->publish(std::move(copy));
+            r->publish(params);
         }
     }
     if (diverged)
@@ -192,9 +193,9 @@ ReplicaRouter::publish(const nn::ParamSet &params)
 std::uint64_t
 ReplicaRouter::publishFrom(rl::GlobalParams &global)
 {
-    nn::ParamSet params = net_.makeParams();
-    global.snapshot(params);
-    return publish(params);
+    auto params = std::make_shared<nn::ParamSet>(net_.makeParams());
+    global.snapshot(*params);
+    return publishImage(std::move(params));
 }
 
 std::size_t

@@ -112,14 +112,14 @@ class ReplicaRouter
     void stop();
 
     /**
-     * Coordinated hot-swap: install @p params on every replica and
-     * return the fleet-wide version number. Barrier semantics — on
-     * return every replica answers new requests from the published
-     * version (in-flight batches finish on the snapshot they
-     * started with; there is never a moment without a servable
-     * model). Publishes are serialized, so per-replica version
-     * counters stay in lockstep and the returned version is the one
-     * every replica reports.
+     * Coordinated hot-swap: install @p params on every replica (one
+     * copy, shared by all of them) and return the fleet-wide version
+     * number. Barrier semantics — on return every replica answers
+     * new requests from the published version (in-flight batches
+     * finish on the snapshot they started with; there is never a
+     * moment without a servable model). Publishes are serialized,
+     * so per-replica version counters stay in lockstep and the
+     * returned version is the one every replica reports.
      */
     std::uint64_t publish(const nn::ParamSet &params);
 
@@ -198,6 +198,12 @@ class ReplicaRouter
     double shedRate() const;
 
   private:
+    /**
+     * publish() of one shared image: every replica adopts this set,
+     * so a fleet publish costs one copy of the parameters at most.
+     */
+    std::uint64_t publishImage(std::shared_ptr<const nn::ParamSet> params);
+
     /** Replica for @p session / current depths. */
     int pickReplica(std::uint64_t session) const;
 

@@ -128,9 +128,9 @@ PolicyServer::~PolicyServer()
 }
 
 std::uint64_t
-PolicyServer::publish(nn::ParamSet params)
+PolicyServer::publish(std::shared_ptr<const nn::ParamSet> params)
 {
-    FA3C_ASSERT(params.sameLayout(net_.makeParams()),
+    FA3C_ASSERT(params && params->sameLayout(net_.paramLayout()),
                 "published parameters do not match the network");
     const std::uint64_t version = registry_.publish(std::move(params));
     {
@@ -144,8 +144,8 @@ PolicyServer::publish(nn::ParamSet params)
 std::uint64_t
 PolicyServer::publishFrom(rl::GlobalParams &global)
 {
-    nn::ParamSet params = net_.makeParams();
-    global.snapshot(params);
+    auto params = std::make_shared<nn::ParamSet>(net_.makeParams());
+    global.snapshot(*params);
     return publish(std::move(params));
 }
 

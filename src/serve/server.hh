@@ -63,8 +63,20 @@ class PolicyServer
     PolicyServer(const PolicyServer &) = delete;
     PolicyServer &operator=(const PolicyServer &) = delete;
 
-    /** Publish a parameter version; @return its version number. */
-    std::uint64_t publish(nn::ParamSet params);
+    /**
+     * Publish a parameter version; @return its version number. The
+     * set must have the network's layout (checked; a mismatch
+     * panics). The shared image is adopted as is, so one set can be
+     * published to many replicas without a copy each.
+     */
+    std::uint64_t publish(std::shared_ptr<const nn::ParamSet> params);
+
+    /** publish() of a set moved (or copied) into a fresh image. */
+    std::uint64_t publish(nn::ParamSet params)
+    {
+        return publish(
+            std::make_shared<const nn::ParamSet>(std::move(params)));
+    }
 
     /**
      * Publish the trainer's current global theta (a consistent copy
@@ -128,6 +140,12 @@ class PolicyServer
 
     /** Newest published parameter version (0 = none yet). */
     std::uint64_t modelVersion() const { return registry_.version(); }
+
+    /** The newest published version (nullptr before the first). */
+    std::shared_ptr<const ModelRegistry::Model> currentModel() const
+    {
+        return registry_.current();
+    }
 
     std::size_t queueDepth() const { return queue_.depth(); }
 

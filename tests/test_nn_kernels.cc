@@ -13,6 +13,7 @@
  * local sum and adds it once).
  */
 
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include "nn/kernels/conv.hh"
 #include "nn/kernels/fc.hh"
 #include "nn/kernels/gemm.hh"
+#include "nn/a3c_network.hh"
 #include "nn/kernels/im2col.hh"
 #include "nn/layers.hh"
 #include "sim/rng.hh"
@@ -148,6 +150,21 @@ TEST(NnKernels, ConvGradientMatchesGoldenAndAccumulates)
     }
 }
 
+namespace {
+
+/** gemmPackPanelsT image of the canonical w[O][I] (the FC B operand). */
+std::vector<float>
+fcPanels(const FcSpec &spec, const std::vector<float> &w)
+{
+    std::vector<float> panels(
+        kernels::gemmPanelSize(spec.outFeatures, spec.inFeatures));
+    kernels::gemmPackPanelsT(spec.outFeatures, spec.inFeatures, w.data(),
+                             spec.inFeatures, panels.data());
+    return panels;
+}
+
+} // namespace
+
 TEST(NnKernels, FcForwardMatchesGolden)
 {
     sim::Rng rng(24);
@@ -161,12 +178,10 @@ TEST(NnKernels, FcForwardMatchesGolden)
         tensor::Tensor golden(tensor::Shape({spec.outFeatures}));
         fcForward(spec, in, w, b, golden);
 
-        std::vector<float> wT(spec.weightCount());
-        kernels::transpose(w.data(), spec.outFeatures, spec.inFeatures,
-                           wT.data());
         tensor::Tensor fast(golden.shape());
-        kernels::fcForwardFast(spec, in.data().data(), wT, b,
-                               fast.data().data());
+        kernels::fcForwardFastBatchPanels(spec, 1, in.data().data(),
+                                          fcPanels(spec, w), b,
+                                          fast.data().data());
         expectAllClose(fast.data(), golden.data(), kTightUlp, kTightAbs,
                        "fc forward");
     }
@@ -175,11 +190,13 @@ TEST(NnKernels, FcForwardMatchesGolden)
 TEST(NnKernels, FcForwardBatchBitExactWithSingle)
 {
     sim::Rng rng(25);
-    const FcSpec spec{67, 23};
+    // 67 outputs: two full panel strips and a 3-column tail.
+    const FcSpec spec{23, 67};
     const int batch = 7;
     std::vector<float> w(spec.weightCount()), b(spec.biasCount());
     randomize(std::span<float>(w), rng);
     randomize(std::span<float>(b), rng);
+    const std::vector<float> panels = fcPanels(spec, w);
     std::vector<float> wT(spec.weightCount());
     kernels::transpose(w.data(), spec.outFeatures, spec.inFeatures,
                        wT.data());
@@ -191,19 +208,27 @@ TEST(NnKernels, FcForwardBatchBitExactWithSingle)
     std::vector<float> batched(static_cast<std::size_t>(batch) *
                                static_cast<std::size_t>(
                                    spec.outFeatures));
-    kernels::fcForwardFastBatch(spec, batch, in.data(), wT, b,
-                                batched.data());
+    kernels::fcForwardFastBatchPanels(spec, batch, in.data(), panels, b,
+                                      batched.data());
 
     // The batched GEMM must accumulate each output element in exactly
     // the per-sample order: results are bit-identical, not just close.
+    // The single-sample call is also held to the plain M = 1 GEMM over
+    // a row-major transpose, the unpacked form of the same sum.
     std::vector<float> single(static_cast<std::size_t>(
         spec.outFeatures));
+    std::vector<float> plain(single.size());
     for (int s = 0; s < batch; ++s) {
-        kernels::fcForwardFast(
-            spec,
+        const float *row =
             in.data() + static_cast<std::size_t>(s) *
-                            static_cast<std::size_t>(spec.inFeatures),
-            wT, b, single.data());
+                            static_cast<std::size_t>(spec.inFeatures);
+        kernels::fcForwardFastBatchPanels(spec, 1, row, panels, b,
+                                          single.data());
+        plain = b;
+        kernels::gemmAcc(1, spec.outFeatures, spec.inFeatures, row,
+                         spec.inFeatures, wT.data(), spec.outFeatures,
+                         plain.data(), spec.outFeatures);
+        EXPECT_EQ(single, plain) << "sample " << s;
         for (int o = 0; o < spec.outFeatures; ++o)
             EXPECT_EQ(single[static_cast<std::size_t>(o)],
                       batched[static_cast<std::size_t>(s) *
@@ -212,6 +237,35 @@ TEST(NnKernels, FcForwardBatchBitExactWithSingle)
                               static_cast<std::size_t>(o)])
                 << "sample " << s << " output " << o;
     }
+}
+
+TEST(NnKernels, PackPanelsTMatchesPackOfTranspose)
+{
+    sim::Rng rng(26);
+    // n = 70 leaves a 6-column last strip, and the row stride of the
+    // source exceeds k.
+    const int n = 70;
+    const int k = 131;
+    const int ldbt = k + 5;
+    std::vector<float> bt(static_cast<std::size_t>(n) *
+                          static_cast<std::size_t>(ldbt));
+    randomize(std::span<float>(bt), rng);
+    std::vector<float> b(static_cast<std::size_t>(k) *
+                         static_cast<std::size_t>(n));
+    for (int j = 0; j < n; ++j)
+        for (int p = 0; p < k; ++p)
+            b[static_cast<std::size_t>(p) * static_cast<std::size_t>(n) +
+              static_cast<std::size_t>(j)] =
+                bt[static_cast<std::size_t>(j) *
+                       static_cast<std::size_t>(ldbt) +
+                   static_cast<std::size_t>(p)];
+
+    // Both start from garbage so the zero padding is checked too.
+    std::vector<float> want(kernels::gemmPanelSize(n, k), -7.0f);
+    std::vector<float> got(want.size(), 9.0f);
+    kernels::gemmPackPanels(n, k, b.data(), n, want.data());
+    kernels::gemmPackPanelsT(n, k, bt.data(), ldbt, got.data());
+    EXPECT_EQ(got, want);
 }
 
 TEST(NnKernels, FcBackwardMatchesGolden)
@@ -258,6 +312,43 @@ TEST(NnKernels, FcGradientMatchesGoldenAndAccumulates)
                        "fc gradient w");
         expectAllClose(gb_fast, gb_golden, kTightUlp, kTightAbs,
                        "fc gradient b");
+    }
+}
+
+TEST(NnKernels, Im2colMatchesNaiveReference)
+{
+    // Both A3C convs, both tiny-net convs, a stride-1 case and an
+    // odd-width one: the row-order lowering must reproduce the
+    // per-element definition byte for byte.
+    const A3cNetwork tiny(NetConfig::tiny(4));
+    const std::vector<ConvSpec> specs = {
+        {4, 84, 84, 16, 8, 4}, {16, 20, 20, 32, 4, 2},
+        tiny.conv1(),          tiny.conv2(),
+        {3, 10, 10, 5, 3, 1},  {2, 9, 13, 4, 3, 2},
+    };
+    sim::Rng rng(27);
+    for (const ConvSpec &spec : specs) {
+        const tensor::Tensor in = convInput(spec, rng);
+        const std::size_t n = kernels::patchCount(spec);
+        std::vector<float> want(kernels::colSize(spec));
+        std::size_t row = 0;
+        for (int i = 0; i < spec.inChannels; ++i)
+            for (int kr = 0; kr < spec.kernel; ++kr)
+                for (int kc = 0; kc < spec.kernel; ++kc, ++row)
+                    for (int r = 0; r < spec.outHeight(); ++r)
+                        for (int c = 0; c < spec.outWidth(); ++c)
+                            want[row * n +
+                                 static_cast<std::size_t>(
+                                     r * spec.outWidth() + c)] =
+                                in.at(i, r * spec.stride + kr,
+                                      c * spec.stride + kc);
+        std::vector<float> got(want.size(), -1.0f);
+        kernels::im2col(spec, in.data().data(), got.data());
+        EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                                 want.size() * sizeof(float)))
+            << spec.inChannels << "x" << spec.inHeight << "x"
+            << spec.inWidth << " k" << spec.kernel << " s"
+            << spec.stride;
     }
 }
 

@@ -6,6 +6,7 @@
  */
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -116,46 +117,56 @@ TEST(FastCpuBackend, BackwardMatchesReference)
 
 TEST(FastCpuBackend, ForwardBatchBitExactWithSingleForward)
 {
-    const nn::A3cNetwork net(nn::NetConfig::tiny(4));
-    sim::Rng rng(7);
-    nn::ParamSet params = net.makeParams();
-    net.initParams(params, rng);
+    // The tiny net, the wide serving net (fc3 1024 x 2592) and a tiny
+    // net whose fc4 head is wide enough for the panel path (41
+    // outputs: one full strip and a tail).
+    nn::NetConfig wide = nn::NetConfig::atari(4);
+    wide.fcSize = 1024;
+    const std::vector<nn::NetConfig> cfgs = {
+        nn::NetConfig::tiny(4), wide, nn::NetConfig::tiny(40)};
+    for (const nn::NetConfig &cfg : cfgs) {
+        const nn::A3cNetwork net(cfg);
+        SCOPED_TRACE("fcSize " + std::to_string(cfg.fcSize) +
+                     " outputs " + std::to_string(net.outSize()));
+        sim::Rng rng(7);
+        nn::ParamSet params = net.makeParams();
+        net.initParams(params, rng);
 
-    FastCpuBackend batched(net);
-    FastCpuBackend single(net);
-    batched.onParamSync(params);
-    single.onParamSync(params);
+        FastCpuBackend batched(net);
+        FastCpuBackend single(net);
+        batched.onParamSync(params);
+        single.onParamSync(params);
 
-    const int batch = 6;
-    std::vector<tensor::Tensor> obs;
-    std::vector<nn::A3cNetwork::Activations> acts;
-    for (int s = 0; s < batch; ++s) {
-        obs.push_back(randomObs(net, rng));
-        acts.push_back(net.makeActivations());
-    }
-    std::vector<const tensor::Tensor *> obs_ptrs;
-    std::vector<nn::A3cNetwork::Activations *> act_ptrs;
-    for (int s = 0; s < batch; ++s) {
-        obs_ptrs.push_back(&obs[static_cast<std::size_t>(s)]);
-        act_ptrs.push_back(&acts[static_cast<std::size_t>(s)]);
-    }
-    batched.forwardBatch(params, obs_ptrs, act_ptrs);
+        const int batch = 6;
+        std::vector<tensor::Tensor> obs;
+        std::vector<nn::A3cNetwork::Activations> acts;
+        for (int s = 0; s < batch; ++s) {
+            obs.push_back(randomObs(net, rng));
+            acts.push_back(net.makeActivations());
+        }
+        std::vector<const tensor::Tensor *> obs_ptrs;
+        std::vector<nn::A3cNetwork::Activations *> act_ptrs;
+        for (int s = 0; s < batch; ++s) {
+            obs_ptrs.push_back(&obs[static_cast<std::size_t>(s)]);
+            act_ptrs.push_back(&acts[static_cast<std::size_t>(s)]);
+        }
+        batched.forwardBatch(params, obs_ptrs, act_ptrs);
 
-    // The batched FC GEMM accumulates per element in the single-sample
-    // order, so every activation must be bit-identical.
-    for (int s = 0; s < batch; ++s) {
-        nn::A3cNetwork::Activations ref = net.makeActivations();
-        single.forward(params, obs[static_cast<std::size_t>(s)], ref);
-        const auto &got = acts[static_cast<std::size_t>(s)];
-        for (std::size_t i = 0; i < ref.out.numel(); ++i)
-            EXPECT_EQ(got.out.data()[i], ref.out.data()[i])
-                << "sample " << s << " out " << i;
-        for (std::size_t i = 0; i < ref.fc3Act.numel(); ++i)
-            EXPECT_EQ(got.fc3Act.data()[i], ref.fc3Act.data()[i])
-                << "sample " << s << " fc3Act " << i;
-        for (std::size_t i = 0; i < ref.conv2Flat.numel(); ++i)
-            EXPECT_EQ(got.conv2Flat.data()[i], ref.conv2Flat.data()[i])
-                << "sample " << s << " conv2Flat " << i;
+        // The batched FC GEMM accumulates per element in the
+        // single-sample order, so every activation must be
+        // bit-identical.
+        const auto vec = [](const tensor::Tensor &t) {
+            return std::vector<float>(t.data().begin(), t.data().end());
+        };
+        for (int s = 0; s < batch; ++s) {
+            nn::A3cNetwork::Activations ref = net.makeActivations();
+            single.forward(params, obs[static_cast<std::size_t>(s)], ref);
+            const auto &got = acts[static_cast<std::size_t>(s)];
+            EXPECT_EQ(vec(got.out), vec(ref.out)) << "sample " << s;
+            EXPECT_EQ(vec(got.fc3Act), vec(ref.fc3Act)) << "sample " << s;
+            EXPECT_EQ(vec(got.conv2Flat), vec(ref.conv2Flat))
+                << "sample " << s;
+        }
     }
 }
 

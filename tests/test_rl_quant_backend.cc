@@ -301,3 +301,39 @@ TEST(QuantBackend, PolicyServerServesOnInt8Backend)
     EXPECT_GE(stats.counter("served").value(), 20u);
     server.stop();
 }
+
+TEST(QuantBackend, InheritedBackwardMatchesFastCpu)
+{
+    // Training stays fp32: given the same activations, the inherited
+    // backward must equal FastCpuBackend's bit for bit, which needs
+    // the fp32 images (conv2's transposed weights) staged even though
+    // the quantized sync only builds the quantized image.
+    const nn::A3cNetwork net(nn::NetConfig::tiny(4));
+    sim::Rng rng(29);
+    nn::ParamSet params = net.makeParams();
+    net.initParams(params, rng);
+    tensor::Tensor obs(tensor::Shape({net.config().inChannels,
+                                      net.config().inHeight,
+                                      net.config().inWidth}));
+    randomize(obs, rng);
+    tensor::Tensor g_out(tensor::Shape({net.outSize()}));
+    randomize(g_out, rng);
+
+    FastCpuBackend fast(net);
+    fast.onParamSync(params);
+    nn::A3cNetwork::Activations act = net.makeActivations();
+    fast.forward(params, obs, act);
+    nn::ParamSet want = net.makeParams();
+    fast.backward(params, act, g_out, want);
+
+    for (const nn::QuantMode mode :
+         {nn::QuantMode::Int8, nn::QuantMode::Fp16}) {
+        QuantCpuBackend quant(net, mode);
+        quant.onParamSync(params);
+        nn::ParamSet got = net.makeParams();
+        quant.backward(params, act, g_out, got);
+        const std::vector<float> w(want.flat().begin(), want.flat().end());
+        const std::vector<float> g(got.flat().begin(), got.flat().end());
+        EXPECT_EQ(g, w) << "mode " << static_cast<int>(mode);
+    }
+}

@@ -366,6 +366,42 @@ TEST(ServeRouter, DirectReplicaPublishResynchronizesFleet)
     router.stop();
 }
 
+TEST(ServeRouter, PublishSharesOneImageAcrossReplicas)
+{
+    Fixture f;
+    ReplicaRouter router(f.net,
+                         f.fleet(3, RoutePolicy::LeastLoaded));
+    router.publish(f.params);
+
+    // One copy of the caller's set, adopted by every replica.
+    const auto first = router.replica(0).currentModel();
+    ASSERT_NE(first, nullptr);
+    EXPECT_NE(first->params.get(), &f.params);
+    EXPECT_EQ(first->params->flat()[0], f.params.flat()[0]);
+    for (int rep = 1; rep < router.replicas(); ++rep)
+        EXPECT_EQ(router.replica(rep).currentModel()->params,
+                  first->params);
+
+    // The catch-up publish of a lagging replica reuses the image too.
+    EXPECT_EQ(router.replica(1).publish(f.params), 2u);
+    EXPECT_EQ(router.publish(f.params), 3u);
+    const auto image = router.replica(0).currentModel()->params;
+    EXPECT_NE(image, first->params);
+    for (int rep = 0; rep < router.replicas(); ++rep)
+        EXPECT_EQ(router.replica(rep).currentModel()->params, image);
+
+    // A set of another network's layout is still refused, and no
+    // replica moves off the published version.
+    const nn::A3cNetwork other(nn::NetConfig::tiny(4));
+    EXPECT_THROW(router.publish(other.makeParams()), std::logic_error);
+    EXPECT_THROW(router.replica(0).publish(other.makeParams()),
+                 std::logic_error);
+    for (int rep = 0; rep < router.replicas(); ++rep) {
+        EXPECT_EQ(router.replica(rep).modelVersion(), 3u);
+        EXPECT_EQ(router.replica(rep).currentModel()->params, image);
+    }
+}
+
 TEST(ServeRouter, SubmitAsyncDeliversCompletion)
 {
     Fixture f;
