@@ -25,7 +25,6 @@
  *     --staleness <n>        explicit staleness bound (default
  *                            unbounded — classic async A3C)
  *     --lease-ttl-ms <n>     worker lease TTL (default 2000)
- *     --shards <n>           parameter shards on the PS (default 8)
  *     --checkpoint <path>    durable PS state (ps/launch)
  *     --checkpoint-every <n> PS checkpoint period in env steps
  *     --seed <n>             init / rollout seed (default 7)
@@ -117,7 +116,6 @@ struct Options
     std::uint64_t staleness =
         std::numeric_limits<std::uint64_t>::max();
     std::uint32_t leaseTtlMs = 2000;
-    int shards = 8;
     std::string checkpoint;
     std::uint64_t checkpointEvery = 0;
     std::uint64_t seed = 7;
@@ -186,7 +184,6 @@ runPs(const Options &opt, env::GameId game)
     cfg.totalSteps = opt.steps;
     cfg.checkpointPath = opt.checkpoint;
     cfg.checkpointEverySteps = opt.checkpointEvery;
-    cfg.numShards = opt.shards;
     cfg.initialLr = opt.lr;
     cfg.seed = opt.seed;
     dist::PsServer ps(net, cfg);
@@ -367,7 +364,6 @@ runLaunch(const char *argv0, const Options &opt, env::GameId game)
     cfg.totalSteps = opt.steps;
     cfg.checkpointPath = opt.checkpoint;
     cfg.checkpointEverySteps = opt.checkpointEvery;
-    cfg.numShards = opt.shards;
     cfg.initialLr = opt.lr;
     cfg.seed = opt.seed;
     dist::PsServer ps(net, cfg);
@@ -539,8 +535,6 @@ main(int argc, char **argv)
         } else if (arg == "--lease-ttl-ms" && has_value) {
             opt.leaseTtlMs = static_cast<std::uint32_t>(
                 std::strtoul(argv[++i], nullptr, 10));
-        } else if (arg == "--shards" && has_value) {
-            opt.shards = std::atoi(argv[++i]);
         } else if (arg == "--checkpoint" && has_value) {
             opt.checkpoint = argv[++i];
         } else if (arg == "--checkpoint-every" && has_value) {

@@ -40,11 +40,10 @@ sendMsg(int fd, wire::Type type, const std::string &payload)
 PsServer::PsServer(const nn::A3cNetwork &net,
                    const PsServerConfig &cfg)
     : net_(net), cfg_(cfg),
-      params_(net, cfg.rmsprop, cfg.initialLr, cfg.annealSteps,
-              cfg.numShards),
+      params_(net, cfg.rmsprop, cfg.initialLr, cfg.annealSteps),
       leases_(std::chrono::milliseconds(
           cfg.leaseTtlMs > 0 ? cfg.leaseTtlMs : 1)),
-      layoutCrc_(wire::layoutCrc(params_.layout()))
+      layoutCrc_(wire::layoutCrc(net.makeParams()))
 {
 }
 
@@ -134,9 +133,8 @@ PsServer::start()
     acceptThread_ = std::thread([this] { acceptMain(); });
     housekeeper_ = std::thread([this] { housekeeperMain(); });
     FA3C_INFORM("dist: ps listening on ", cfg_.bindAddress, ":",
-                port_, " (", params_.paramCount(), " params, ",
-                params_.numShards(), " shards, lease ttl ",
-                cfg_.leaseTtlMs, " ms)");
+                port_, " (", params_.paramCount(),
+                " params, lease ttl ", cfg_.leaseTtlMs, " ms)");
     return true;
 }
 
@@ -228,17 +226,15 @@ PsServer::writeCheckpoint()
     ckpt.algorithm = kPsAlgorithm;
     ckpt.theta = net_.makeParams();
     ckpt.rmspropG = net_.makeParams();
-    std::uint64_t version = 0;
     params_.checkpoint(ckpt.theta, ckpt.rmspropG, ckpt.globalSteps,
-                       version);
-    ckpt.updates = version;
+                       ckpt.updates);
     if (!rl::saveCheckpointToFile(ckpt, cfg_.checkpointPath)) {
         FA3C_WARN("dist: ps checkpoint write to '",
                   cfg_.checkpointPath, "' failed");
         return false;
     }
     lastCheckpointSteps_ = ckpt.globalSteps;
-    FA3C_INFORM("dist: ps checkpoint at version ", version, ", step ",
+    FA3C_INFORM("dist: ps checkpoint at version ", ckpt.updates, ", step ",
                 ckpt.globalSteps, " -> ", cfg_.checkpointPath);
     return true;
 }

@@ -2,8 +2,9 @@
  * @file
  * The parameter-server process core.
  *
- * A PsServer owns the sharded global state (dist::ShardedParams), the
- * worker lease table (dist::LeaseTable), and a TCP endpoint speaking
+ * A PsServer owns the global state (an rl::GlobalParams, the same
+ * single-mutex store the in-process trainers use), the worker lease
+ * table (dist::LeaseTable), and a TCP endpoint speaking
  * dist::wire. Each accepted connection gets its own handler thread
  * blocking on one frame at a time: a worker Hellos once — the PS
  * validates its parameter layout against the server's network, grants
@@ -35,11 +36,11 @@
 #include <vector>
 
 #include "dist/lease.hh"
-#include "dist/sharded_params.hh"
 #include "dist/wire.hh"
 #include "nn/a3c_network.hh"
 #include "nn/rmsprop.hh"
 #include "obs/telemetry.hh"
+#include "rl/global_params.hh"
 
 namespace fa3c::dist {
 
@@ -73,11 +74,10 @@ struct PsServerConfig
     float initialLr = 7e-4f;
     std::uint64_t annealSteps = 0;
 
-    int numShards = 8;
     std::uint64_t seed = 1; ///< theta init when no checkpoint loads
 };
 
-/** Parameter-server endpoint: sharded params + leases + TCP. */
+/** Parameter-server endpoint: global params + leases + TCP. */
 class PsServer
 {
   public:
@@ -114,13 +114,13 @@ class PsServer
     /** Counters for tests and the CLI (same data as a Stats RPC). */
     wire::StatsReply stats() const;
 
-    ShardedParams &params() { return params_; }
+    rl::GlobalParams &params() { return params_; }
     LeaseTable &leases() { return leases_; }
 
   private:
     const nn::A3cNetwork &net_;
     PsServerConfig cfg_;
-    ShardedParams params_;
+    rl::GlobalParams params_;
     LeaseTable leases_;
     std::uint32_t layoutCrc_ = 0;
 

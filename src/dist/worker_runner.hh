@@ -2,8 +2,9 @@
  * @file
  * The worker side of distributed A3C.
  *
- * RemoteParams is a rl::ParamService backed by a PsClient instead of
- * the in-process rl::GlobalParams: snapshot() serves the locally
+ * RemoteParams is a rl::ParamService backed by a PsClient: a cached
+ * view of the rl::GlobalParams the PS holds, the same store the
+ * in-process trainers hold directly. snapshot() serves the locally
  * cached theta, and applyGradients() pushes the gradients to the PS
  * with wantParams set, so the fresh theta rides back on the ack and
  * the next parameter-sync task sees it — one round trip per routine,

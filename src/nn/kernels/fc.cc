@@ -20,6 +20,27 @@ constexpr long long kMtFlopThreshold = 1LL << 24;
 } // namespace
 
 void
+fcSplitStrips(int batch, int outF, int inF, int stripWidth,
+              const std::function<void(int n0, int n1)> &body)
+{
+    const int strips = (outF + stripWidth - 1) / stripWidth;
+    const long long work = static_cast<long long>(batch) * outF * inF;
+    const int nt = kernelThreads();
+    if (nt <= 1 || batch < 4 || strips < 2 || work < kMtFlopThreshold) {
+        body(0, outF);
+        return;
+    }
+    const int tasks = std::min(nt, strips);
+    parallelFor(tasks, [&](int t) {
+        const int n0 = strips * t / tasks * stripWidth;
+        const int n1 =
+            std::min(strips * (t + 1) / tasks * stripWidth, outF);
+        if (n1 > n0)
+            body(n0, n1);
+    });
+}
+
+void
 fcForwardFastBatchPanels(const FcSpec &spec, int batch, const float *in,
                          std::span<const float> wPanels,
                          std::span<const float> b, float *out)
@@ -34,37 +55,15 @@ fcForwardFastBatchPanels(const FcSpec &spec, int batch, const float *in,
     for (int s = 0; s < batch; ++s)
         std::memcpy(out + static_cast<std::size_t>(s) * o, b.data(),
                     o * sizeof(float));
-    const long long work = static_cast<long long>(batch) *
-                           spec.outFeatures * spec.inFeatures;
-    const int strips =
-        (spec.outFeatures + kGemmPanelWidth - 1) / kGemmPanelWidth;
-    const int nt = kernelThreads();
-    if (nt > 1 && batch >= 4 && strips >= 2 &&
-        work >= kMtFlopThreshold) {
-        // Split by column strips: each output element is still
-        // computed by exactly one task in the same order, so the
-        // result is bit-identical to the single-thread call.
-        const int tasks = std::min(nt, strips);
-        const std::size_t panelFloats =
-            static_cast<std::size_t>(spec.inFeatures) * kGemmPanelWidth;
-        parallelFor(tasks, [&](int t) {
-            const int s0 = strips * t / tasks;
-            const int s1 = strips * (t + 1) / tasks;
-            const int j0 = s0 * kGemmPanelWidth;
-            const int j1 =
-                std::min(s1 * kGemmPanelWidth, spec.outFeatures);
-            gemmAccPanels(batch, j1 - j0, spec.inFeatures, in,
-                          spec.inFeatures,
-                          wPanels.data() + static_cast<std::size_t>(s0) *
-                                               panelFloats,
-                          out + static_cast<std::size_t>(j0),
-                          spec.outFeatures);
-        });
-        return;
-    }
-    gemmAccPanels(batch, spec.outFeatures, spec.inFeatures, in,
-                  spec.inFeatures, wPanels.data(), out,
-                  spec.outFeatures);
+    const std::size_t k = static_cast<std::size_t>(spec.inFeatures);
+    fcSplitStrips(batch, spec.outFeatures, spec.inFeatures,
+                  kGemmPanelWidth, [&](int n0, int n1) {
+                      gemmAccPanels(batch, n1 - n0, spec.inFeatures, in,
+                                    spec.inFeatures,
+                                    wPanels.data() +
+                                        static_cast<std::size_t>(n0) * k,
+                                    out + n0, spec.outFeatures);
+                  });
 }
 
 void

@@ -20,6 +20,7 @@
 #ifndef FA3C_NN_KERNELS_FC_HH
 #define FA3C_NN_KERNELS_FC_HH
 
+#include <functional>
 #include <span>
 
 #include "nn/layers.hh"
@@ -56,6 +57,20 @@ void fcForwardSmallBatch(const FcSpec &spec, int batch, const float *in,
 
 /** Output width below which fcForwardSmallBatch wins over panels. */
 constexpr int kSmallFcMaxOut = 32;
+
+/**
+ * The strip split every batched FC GEMM over a panel layout uses
+ * (fp32, int8 and fp16 panels alike). It runs @p body(n0, n1) over
+ * output columns [n0, n1), with n0 a multiple of @p stripWidth. The
+ * split spreads whole strips across the kernel pool when the pool is
+ * wider than one thread, batch >= 4, there are at least two strips,
+ * and batch * outF * inF multiply-adds clear the fork-join cost;
+ * otherwise one call covers every column on the calling thread. Each
+ * output column belongs to exactly one call and keeps its order of
+ * accumulation, so the split never changes results.
+ */
+void fcSplitStrips(int batch, int outF, int inF, int stripWidth,
+                   const std::function<void(int n0, int n1)> &body);
 
 /** Backward: g_in[I] = W^T * g_out using the canonical w[O][I]. */
 void fcBackwardFast(const FcSpec &spec, const float *g_out,

@@ -47,12 +47,13 @@ qgemmPanelBytes(int n, int k)
 }
 
 void
-qgemmPackPanels(int n, int k, const float *b, int ldb,
+qgemmPackPanels(int n, int k, const float *bt, int ldbt,
                 const float *colInv, std::int8_t *panels)
 {
     const int k4 = (k + kQuantPanelDepth - 1) / kQuantPanelDepth;
     const std::size_t panelBytes = static_cast<std::size_t>(k4) *
                                    kQuantPanelDepth * kQuantPanelWidth;
+    const std::size_t ld = static_cast<std::size_t>(ldbt);
     // Packing is a cold path (once per parameter publish), so the
     // scalar rne+clamp here is fine; it matches quantizeRow exactly.
     const auto q8 = [](float v, float inv1) {
@@ -63,25 +64,24 @@ qgemmPackPanels(int n, int k, const float *b, int ldb,
             r = -127;
         return static_cast<std::int8_t>(r);
     };
+    // Each panel row reads one quad from each of the strip's source
+    // rows; those cache lines then serve the following quads from L1.
     for (int j0 = 0; j0 < n; j0 += kQuantPanelWidth) {
         const int w = std::min(kQuantPanelWidth, n - j0);
-        std::int8_t *panel =
+        const float *src = bt + static_cast<std::size_t>(j0) * ld;
+        std::int8_t *dst =
             panels +
             static_cast<std::size_t>(j0 / kQuantPanelWidth) * panelBytes;
         for (int q = 0; q < k4; ++q) {
-            std::int8_t *dst = panel + static_cast<std::size_t>(q) *
-                                           kQuantPanelDepth *
-                                           kQuantPanelWidth;
             for (int j = 0; j < kQuantPanelWidth; ++j) {
                 for (int t = 0; t < kQuantPanelDepth; ++t) {
                     const int p = kQuantPanelDepth * q + t;
-                    dst[kQuantPanelDepth * j + t] =
-                        (j < w && p < k)
-                            ? q8(b[static_cast<std::size_t>(p) *
-                                       static_cast<std::size_t>(ldb) +
-                                   static_cast<std::size_t>(j0 + j)],
-                                 colInv[j0 + j])
-                            : std::int8_t{0};
+                    *dst++ = (j < w && p < k)
+                                 ? q8(src[static_cast<std::size_t>(j) *
+                                              ld +
+                                          static_cast<std::size_t>(p)],
+                                      colInv[j0 + j])
+                                 : std::int8_t{0};
                 }
             }
         }
@@ -180,25 +180,24 @@ halfPanelSize(int n, int k)
 }
 
 void
-halfPackPanels(int n, int k, const float *b, int ldb,
+halfPackPanels(int n, int k, const float *bt, int ldbt,
                std::uint16_t *panels)
 {
+    // Same walk as gemmPackPanelsT: one panel row per step p, one
+    // value from each of the strip's source rows.
+    const std::size_t ld = static_cast<std::size_t>(ldbt);
     for (int j0 = 0; j0 < n; j0 += kGemmPanelWidth) {
         const int w = std::min(kGemmPanelWidth, n - j0);
-        std::uint16_t *panel =
+        const float *src = bt + static_cast<std::size_t>(j0) * ld;
+        std::uint16_t *dst =
             panels + static_cast<std::size_t>(j0 / kGemmPanelWidth) *
                          static_cast<std::size_t>(k) * kGemmPanelWidth;
-        for (int p = 0; p < k; ++p) {
-            std::uint16_t *dst =
-                panel + static_cast<std::size_t>(p) * kGemmPanelWidth;
-            const float *src = b + static_cast<std::size_t>(p) *
-                                       static_cast<std::size_t>(ldb) +
-                               static_cast<std::size_t>(j0);
-            for (int j = 0; j < w; ++j)
-                dst[j] = floatToHalf(src[j]);
-            for (int j = w; j < kGemmPanelWidth; ++j)
-                dst[j] = 0;
-        }
+        for (int p = 0; p < k; ++p, dst += kGemmPanelWidth)
+            for (int j = 0; j < kGemmPanelWidth; ++j)
+                dst[j] = j < w ? floatToHalf(
+                                     src[static_cast<std::size_t>(j) * ld +
+                                         static_cast<std::size_t>(p)])
+                               : std::uint16_t{0};
     }
 }
 

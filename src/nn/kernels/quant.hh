@@ -94,13 +94,15 @@ void quantizeRowU(int n, const float *x, float inv, std::int8_t *q);
 std::size_t qgemmPanelBytes(int n, int k);
 
 /**
- * Quantize-and-pack row-major B[k x n] (row stride @p ldb) into the
- * quad-interleaved int8 panel layout. @p colInv holds the per-column
- * inverse scales (127 / maxabs of column j); quantization uses the
- * same rne+clamp as quantizeRow. k is zero-padded to a multiple of
- * kQuantPanelDepth.
+ * Quantize-and-pack B[k x n] into the quad-interleaved int8 panel
+ * layout, reading it from its transpose: @p bt holds the n rows of
+ * B^T (row stride @p ldbt >= k) — the canonical [O][I] weight rows,
+ * so no transposed copy is staged. @p colInv holds the per-column
+ * inverse scales of B (127 / maxabs of bt row j); quantization uses
+ * the same rne+clamp as quantizeRow. k is zero-padded to a multiple
+ * of kQuantPanelDepth.
  */
-void qgemmPackPanels(int n, int k, const float *b, int ldb,
+void qgemmPackPanels(int n, int k, const float *bt, int ldbt,
                      const float *colInv, std::int8_t *panels);
 
 /**
@@ -133,11 +135,12 @@ float halfToFloat(std::uint16_t h);
 std::size_t halfPanelSize(int n, int k);
 
 /**
- * Pack row-major B[k x n] into kGemmPanelWidth-column half panels
- * (same geometry as gemmPackPanels, fp16 storage). Conversion is
+ * Pack B[k x n] into kGemmPanelWidth-column half panels (same
+ * geometry as gemmPackPanels, fp16 storage), reading it from its
+ * transpose @p bt[n][ldbt] like gemmPackPanelsT. Conversion is
  * floatToHalf (rne); the last panel is zero-padded.
  */
-void halfPackPanels(int n, int k, const float *b, int ldb,
+void halfPackPanels(int n, int k, const float *bt, int ldbt,
                     std::uint16_t *panels);
 
 /**

@@ -40,11 +40,8 @@ packInt8(const float *w, int rows, int cols)
     QuantizedModel::Int8Panels out;
     std::vector<float> inv;
     rowScales(w, rows, cols, out.scale, inv);
-    std::vector<float> wT(static_cast<std::size_t>(rows) *
-                          static_cast<std::size_t>(cols));
-    kernels::transpose(w, rows, cols, wT.data());
     out.panels.resize(kernels::qgemmPanelBytes(rows, cols));
-    kernels::qgemmPackPanels(rows, cols, wT.data(), rows, inv.data(),
+    kernels::qgemmPackPanels(rows, cols, w, cols, inv.data(),
                              out.panels.data());
     return out;
 }
@@ -73,13 +70,9 @@ packInt8Rows(const float *w, int rows, int cols)
 std::vector<std::uint16_t>
 packHalf(const float *w, int rows, int cols)
 {
-    std::vector<float> wT(static_cast<std::size_t>(rows) *
-                          static_cast<std::size_t>(cols));
-    kernels::transpose(w, rows, cols, wT.data());
     std::vector<std::uint16_t> panels(
         kernels::halfPanelSize(rows, cols));
-    kernels::halfPackPanels(rows, cols, wT.data(), rows,
-                            panels.data());
+    kernels::halfPackPanels(rows, cols, w, cols, panels.data());
     return panels;
 }
 

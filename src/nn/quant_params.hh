@@ -14,9 +14,10 @@
  *    stays fp32 — its weights are a rounding error of the model size,
  *    and the fp32 conv kernels already stream them well).
  *
- * Building an image costs one pass over the weights, so serving
- * stages it once per publish (serve::ModelRegistry quantizes on
- * publish and shares the image across all scheduler workers via
+ * Building an image costs one pass over the weights: the packers read
+ * the canonical [O][I] rows directly, with no transposed copy staged.
+ * Serving stages it once per publish (serve::ModelRegistry quantizes
+ * on publish and shares the image across all scheduler workers via
  * shared_ptr); trainer-side backends fall back to quantizing inside
  * onParamSync. Biases are not quantized — dequantization adds them
  * in fp32.

@@ -257,7 +257,8 @@ A3cTrainer::checkpoint(bool include_agent_state)
     ckpt.algorithm = "a3c";
     ckpt.theta = net_.makeParams();
     ckpt.rmspropG = net_.makeParams();
-    global_.checkpoint(ckpt.theta, ckpt.rmspropG, ckpt.globalSteps);
+    global_.checkpoint(ckpt.theta, ckpt.rmspropG, ckpt.globalSteps,
+                       ckpt.updates);
     ckpt.scoreTail = scores_.tail(kScoreTailMax);
     if (include_agent_state) {
         ckpt.hasAgentState = true;
@@ -289,7 +290,8 @@ A3cTrainer::restore(const TrainingCheckpoint &ckpt)
                 return false;
         }
     }
-    global_.restore(ckpt.theta, ckpt.rmspropG, ckpt.globalSteps);
+    global_.restore(ckpt.theta, ckpt.rmspropG, ckpt.globalSteps,
+                    ckpt.updates);
     scores_.restore(ckpt.scoreTail);
     return true;
 }

@@ -16,46 +16,22 @@
 
 namespace fa3c::rl {
 
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-/**
- * Latency sampler for the nn.kernel.* histograms: times the enclosed
- * region only while metrics are enabled, so the fast path pays one
- * relaxed atomic load when observability is off.
- */
-class KernelTimer
+FastCpuBackend::KernelTimer::KernelTimer(const char *name)
+    : name_(name), enabled_(obs::metrics().enabled())
 {
-  public:
-    explicit KernelTimer(const char *name)
-        : name_(name), enabled_(obs::metrics().enabled())
-    {
-        if (enabled_)
-            start_ = Clock::now();
-    }
+    if (enabled_)
+        start_ = std::chrono::steady_clock::now();
+}
 
-    ~KernelTimer()
-    {
-        if (!enabled_)
-            return;
-        const double us =
-            std::chrono::duration<double, std::micro>(Clock::now() -
-                                                      start_)
-                .count();
-        obs::metrics().sample("nn.kernel", name_, us);
-    }
-
-    KernelTimer(const KernelTimer &) = delete;
-    KernelTimer &operator=(const KernelTimer &) = delete;
-
-  private:
-    const char *name_;
-    bool enabled_;
-    Clock::time_point start_;
-};
-
-} // namespace
+FastCpuBackend::KernelTimer::~KernelTimer()
+{
+    if (!enabled_)
+        return;
+    const double us = std::chrono::duration<double, std::micro>(
+                          std::chrono::steady_clock::now() - start_)
+                          .count();
+    obs::metrics().sample("nn.kernel", name_, us);
+}
 
 FastCpuBackend::FastCpuBackend(const nn::A3cNetwork &net)
     : net_(net),
@@ -149,28 +125,30 @@ FastCpuBackend::forward(const nn::ParamSet &params,
                         const tensor::Tensor &obs,
                         nn::A3cNetwork::Activations &act)
 {
-    FA3C_PROF_SCOPE("backend.forward");
-    ensureStaged(params);
-    forwardConvs(params, obs, act);
-    {
-        KernelTimer t("fc_fw");
-        nn::kernels::fcForwardFastBatchPanels(
-            net_.fc3(), 1, act.conv2Flat.data().data(), fc3Panels_,
-            params.view("fc3.b"), act.fc3Pre.data().data());
-    }
-    nn::reluForward(act.fc3Pre, act.fc3Act);
-    {
-        KernelTimer t("fc_fw");
-        if (fc4Small_)
-            nn::kernels::fcForwardSmallBatch(
-                net_.fc4(), 1, act.fc3Act.data().data(),
-                params.view("fc4.w"), params.view("fc4.b"),
-                act.out.data().data());
-        else
-            nn::kernels::fcForwardFastBatchPanels(
-                net_.fc4(), 1, act.fc3Act.data().data(), fc4Panels_,
-                params.view("fc4.b"), act.out.data().data());
-    }
+    // The batched pipeline with a batch of one, so batch/single parity
+    // is structural rather than replicated.
+    const tensor::Tensor *obsp[1] = {&obs};
+    nn::A3cNetwork::Activations *actp[1] = {&act};
+    forwardBatch(params, obsp, actp);
+}
+
+void
+FastCpuBackend::forwardFc(const nn::ParamSet &params, FcLayer layer,
+                          int bsz, const float *in, float *out)
+{
+    KernelTimer t("fc_fw");
+    if (layer == FcLayer::Fc3)
+        nn::kernels::fcForwardFastBatchPanels(net_.fc3(), bsz, in,
+                                              fc3Panels_,
+                                              params.view("fc3.b"), out);
+    else if (fc4Small_)
+        nn::kernels::fcForwardSmallBatch(net_.fc4(), bsz, in,
+                                         params.view("fc4.w"),
+                                         params.view("fc4.b"), out);
+    else
+        nn::kernels::fcForwardFastBatchPanels(net_.fc4(), bsz, in,
+                                              fc4Panels_,
+                                              params.view("fc4.b"), out);
 }
 
 void
@@ -258,50 +236,44 @@ FastCpuBackend::forwardBatch(
                 "forwardBatch obs/acts size mismatch");
     if (obs.empty())
         return;
-    if (obs.size() == 1) {
-        // A lone request takes the lean single-sample route.
-        forward(params, *obs[0], *acts[0]);
-        return;
-    }
-    ensureStaged(params);
+    ensureForwardImage(params);
 
-    const nn::FcSpec &f3 = net_.fc3();
-    const nn::FcSpec &f4 = net_.fc4();
-    const int bsz = static_cast<int>(obs.size());
-    const std::size_t in3 = static_cast<std::size_t>(f3.inFeatures);
-    const std::size_t out3 = static_cast<std::size_t>(f3.outFeatures);
-    const std::size_t out4 = static_cast<std::size_t>(f4.outFeatures);
-    batchIn_.resize(static_cast<std::size_t>(bsz) * in3);
-    batchMid_.resize(static_cast<std::size_t>(bsz) * out3);
-    batchAct_.resize(static_cast<std::size_t>(bsz) * out3);
-    batchOut_.resize(static_cast<std::size_t>(bsz) * out4);
+    const std::size_t bsz = obs.size();
+    const std::size_t in3 =
+        static_cast<std::size_t>(net_.fc3().inFeatures);
+    const std::size_t out3 =
+        static_cast<std::size_t>(net_.fc3().outFeatures);
+    const std::size_t out4 =
+        static_cast<std::size_t>(net_.fc4().outFeatures);
+    batchMid_.resize(bsz * out3);
+    batchAct_.resize(bsz * out3);
+    batchOut_.resize(bsz * out4);
 
     // Conv trunk per sample: conv weights are small enough to live in
     // cache across the whole batch, so there is nothing for batching
-    // to amortize there — the win is all in the FC layers below.
-    for (int s = 0; s < bsz; ++s) {
+    // to amortize there — the win is all in the FC layers below. A
+    // batch of one feeds FC3 straight from its conv2 map.
+    const float *fcIn = acts[0]->conv2Flat.data().data();
+    if (bsz > 1) {
+        batchIn_.resize(bsz * in3);
+        fcIn = batchIn_.data();
+    }
+    for (std::size_t s = 0; s < bsz; ++s) {
         forwardConvs(params, *obs[s], *acts[s]);
-        std::memcpy(batchIn_.data() + static_cast<std::size_t>(s) * in3,
-                    acts[s]->conv2Flat.data().data(),
-                    in3 * sizeof(float));
+        if (bsz > 1)
+            std::memcpy(batchIn_.data() + s * in3,
+                        acts[s]->conv2Flat.data().data(),
+                        in3 * sizeof(float));
     }
 
-    // FC3 as one M = batch GEMM over the panel-packed weights: the
-    // weight matrix is streamed once for the whole batch instead of
-    // once per request. The GEMM accumulates every output element in
-    // the same order as the single-sample call, so results are
-    // bit-identical to forward().
-    {
-        KernelTimer t("fc_fw");
-        nn::kernels::fcForwardFastBatchPanels(
-            f3, bsz, batchIn_.data(), fc3Panels_, params.view("fc3.b"),
-            batchMid_.data());
-    }
-    for (int s = 0; s < bsz; ++s) {
-        const float *pre =
-            batchMid_.data() + static_cast<std::size_t>(s) * out3;
-        float *post =
-            batchAct_.data() + static_cast<std::size_t>(s) * out3;
+    // FC3 as one M = batch GEMM: the weight image is streamed once for
+    // the whole batch instead of once per request, and every output
+    // element accumulates in the same order whatever the batch size.
+    const int m = static_cast<int>(bsz);
+    forwardFc(params, FcLayer::Fc3, m, fcIn, batchMid_.data());
+    for (std::size_t s = 0; s < bsz; ++s) {
+        const float *pre = batchMid_.data() + s * out3;
+        float *post = batchAct_.data() + s * out3;
         std::memcpy(acts[s]->fc3Pre.data().data(), pre,
                     out3 * sizeof(float));
         for (std::size_t i = 0; i < out3; ++i)
@@ -310,23 +282,11 @@ FastCpuBackend::forwardBatch(
                     out3 * sizeof(float));
     }
 
-    // FC4 batched the same way (or the small-head dot kernel, which
-    // is the same per-element order as the single-sample call).
-    {
-        KernelTimer t("fc_fw");
-        if (fc4Small_)
-            nn::kernels::fcForwardSmallBatch(
-                f4, bsz, batchAct_.data(), params.view("fc4.w"),
-                params.view("fc4.b"), batchOut_.data());
-        else
-            nn::kernels::fcForwardFastBatchPanels(
-                f4, bsz, batchAct_.data(), fc4Panels_,
-                params.view("fc4.b"), batchOut_.data());
-    }
-    for (int s = 0; s < bsz; ++s)
+    forwardFc(params, FcLayer::Fc4, m, batchAct_.data(),
+              batchOut_.data());
+    for (std::size_t s = 0; s < bsz; ++s)
         std::memcpy(acts[s]->out.data().data(),
-                    batchOut_.data() + static_cast<std::size_t>(s) * out4,
-                    out4 * sizeof(float));
+                    batchOut_.data() + s * out4, out4 * sizeof(float));
 }
 
 std::unique_ptr<DnnBackend>

@@ -15,12 +15,19 @@
  *    canonical [O][I] weights in onParamSync() (the same
  *    stage-on-sync pattern the FA3C datapath backend uses for its
  *    FW/BW layouts, and FA3C's own single-copy-plus-layout-on-load);
- *  - forward() runs it with M = 1 and forwardBatch() with M = batch,
- *    so the PAAC rollout, the GA3C predictor, and the serving
- *    scheduler read the FC weight matrices once per batch instead of
- *    once per request — the dominant cost of single-request
- *    inference on wide layers — and both entry points give
- *    bit-identical results.
+ *  - forwardBatch() is the one forward pipeline: the conv trunk per
+ *    sample, the conv2 maps gathered into one [batch][I] matrix, FC3
+ *    as one M = batch GEMM, ReLU and scatter, FC4 the same way.
+ *    forward() is that pipeline with a batch of one, so the PAAC
+ *    rollout, the GA3C predictor, and the serving scheduler read the
+ *    FC weight matrices once per batch instead of once per request —
+ *    the dominant cost of single-request inference on wide layers —
+ *    and both entry points give bit-identical results by
+ *    construction.
+ *
+ * The pipeline calls three per-layer steps — the image check, the
+ * conv trunk of one sample, and one FC layer over the batch — which
+ * QuantCpuBackend overrides with its int8/fp16 kernels.
  *
  * Each instance owns its scratch buffers, so it is single-agent like
  * every other DnnBackend; trainers construct one per agent.
@@ -29,6 +36,7 @@
 #ifndef FA3C_RL_FAST_CPU_BACKEND_HH
 #define FA3C_RL_FAST_CPU_BACKEND_HH
 
+#include <chrono>
 #include <vector>
 
 #include "rl/backend.hh"
@@ -62,17 +70,56 @@ class FastCpuBackend : public DnnBackend
 
   protected:
     // Protected rather than private: QuantCpuBackend derives from
-    // this class to inherit the fp32 training path (backward) and the
-    // fp32 conv trunk its fp16 mode uses, and shares the batch
-    // staging buffers.
+    // this class to inherit the forward pipeline, the fp32 training
+    // path (backward) and the fp32 conv trunk its fp16 mode uses.
+
+    /**
+     * Latency sampler for the nn.kernel.* histograms: times the
+     * enclosed region only while metrics are enabled, so the fast
+     * path pays one relaxed atomic load when observability is off.
+     */
+    class KernelTimer
+    {
+      public:
+        explicit KernelTimer(const char *name);
+        ~KernelTimer();
+        KernelTimer(const KernelTimer &) = delete;
+        KernelTimer &operator=(const KernelTimer &) = delete;
+
+      private:
+        const char *name_;
+        bool enabled_;
+        std::chrono::steady_clock::time_point start_;
+    };
+
+    /** The FC layer a forwardFc() call runs. */
+    enum class FcLayer
+    {
+        Fc3,
+        Fc4,
+    };
 
     /** Stage lazily when forward/backward arrive before any sync. */
     void ensureStaged(const nn::ParamSet &params);
 
-    /** Conv trunk of one forward pass (shared by both entry points). */
-    void forwardConvs(const nn::ParamSet &params,
-                      const tensor::Tensor &obs,
-                      nn::A3cNetwork::Activations &act);
+    /** The image check: make sure the weight image the forward
+     * layers read is staged, even when no sync came first. */
+    virtual void
+    ensureForwardImage(const nn::ParamSet &params)
+    {
+        ensureStaged(params);
+    }
+
+    /** Conv trunk of one sample: fills @p act from input through
+     * conv2Flat. */
+    virtual void forwardConvs(const nn::ParamSet &params,
+                              const tensor::Tensor &obs,
+                              nn::A3cNetwork::Activations &act);
+
+    /** One FC layer over a batch: out[s] = W in[s] + b, for @p bsz
+     * rows of @p in and @p out in row-major order. */
+    virtual void forwardFc(const nn::ParamSet &params, FcLayer layer,
+                           int bsz, const float *in, float *out);
 
     const nn::A3cNetwork &net_;
 
@@ -104,7 +151,8 @@ class FastCpuBackend : public DnnBackend
     tensor::Tensor gConv1Act_;
     tensor::Tensor gConv1Pre_;
 
-    // Batch staging buffers for forwardBatch (grown on demand).
+    // Batch staging buffers for forwardBatch (grown on demand). A
+    // batch of one reads its conv2 map in place and needs no batchIn_.
     std::vector<float> batchIn_;  ///< [B][fc3.in]  flattened conv2 maps
     std::vector<float> batchMid_; ///< [B][fc3.out] fc3 pre-activations
     std::vector<float> batchAct_; ///< [B][fc3.out] post-ReLU

@@ -177,7 +177,6 @@ Ga3cTrainer::trainerStep()
     // Steps were already counted by applyGradients' caller side; the
     // update itself consumes no new environment steps.
     global_.applyGradients(grads_, 0);
-    ++updates_;
     ++updatesSinceRefresh_;
     if (updatesSinceRefresh_ >= cfg_.predictorRefreshUpdates)
         refreshPredictor();
@@ -196,8 +195,8 @@ Ga3cTrainer::checkpoint()
     ckpt.algorithm = "ga3c";
     ckpt.theta = net_.makeParams();
     ckpt.rmspropG = net_.makeParams();
-    global_.checkpoint(ckpt.theta, ckpt.rmspropG, ckpt.globalSteps);
-    ckpt.updates = updates_;
+    global_.checkpoint(ckpt.theta, ckpt.rmspropG, ckpt.globalSteps,
+                       ckpt.updates);
     ckpt.refreshes = refreshes_;
     ckpt.updatesSinceRefresh =
         static_cast<std::uint64_t>(updatesSinceRefresh_);
@@ -232,9 +231,9 @@ Ga3cTrainer::restore(const TrainingCheckpoint &ckpt)
         }
         rng_.setState(ckpt.trainerRng);
     }
-    global_.restore(ckpt.theta, ckpt.rmspropG, ckpt.globalSteps);
+    global_.restore(ckpt.theta, ckpt.rmspropG, ckpt.globalSteps,
+                    ckpt.updates);
     scores_.restore(ckpt.scoreTail);
-    updates_ = ckpt.updates;
     refreshes_ = ckpt.refreshes;
     updatesSinceRefresh_ =
         static_cast<int>(ckpt.updatesSinceRefresh);

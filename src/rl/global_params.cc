@@ -9,7 +9,7 @@ GlobalParams::GlobalParams(const nn::A3cNetwork &net,
                            float initial_lr, std::uint64_t anneal_steps)
     : net_(net), rmsprop_(rmsprop), initialLr_(initial_lr),
       annealSteps_(anneal_steps), theta_(net.makeParams()),
-      rmspropG_(net.makeParams())
+      rmspropG_(net.makeParams()), paramCount_(theta_.size())
 {
 }
 
@@ -28,6 +28,15 @@ GlobalParams::snapshot(nn::ParamSet &local)
     local.copyFrom(theta_);
 }
 
+void
+GlobalParams::snapshot(std::vector<float> &out) const
+{
+    out.resize(paramCount_);
+    std::lock_guard<std::mutex> lock(mutex_);
+    const std::span<const float> flat = theta_.flat();
+    std::copy(flat.begin(), flat.end(), out.begin());
+}
+
 nn::ParamSet
 GlobalParams::theta() const
 {
@@ -37,22 +46,25 @@ GlobalParams::theta() const
 
 void
 GlobalParams::checkpoint(nn::ParamSet &theta_out, nn::ParamSet &g_out,
-                         std::uint64_t &steps_out) const
+                         std::uint64_t &steps_out,
+                         std::uint64_t &version_out) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     theta_out.copyFrom(theta_);
     g_out.copyFrom(rmspropG_);
     steps_out = globalSteps_.load(std::memory_order_relaxed);
+    version_out = version_.load(std::memory_order_relaxed);
 }
 
 void
 GlobalParams::restore(const nn::ParamSet &theta, const nn::ParamSet &g,
-                      std::uint64_t steps)
+                      std::uint64_t steps, std::uint64_t version)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     theta_.copyFrom(theta);
     rmspropG_.copyFrom(g);
     globalSteps_.store(steps, std::memory_order_relaxed);
+    version_.store(version, std::memory_order_release);
 }
 
 float
@@ -68,17 +80,18 @@ GlobalParams::currentLearningRate() const
     return static_cast<float>(initialLr_ * frac);
 }
 
-void
-GlobalParams::applyGradients(const nn::ParamSet &grads,
-                             std::uint64_t steps_consumed)
+std::uint64_t
+GlobalParams::apply(std::span<const float> grads,
+                    std::uint64_t steps_consumed)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     const float lr = currentLearningRate();
     if (lr > 0.0f) {
-        nn::rmspropApply(theta_.flat(), rmspropG_.flat(), grads.flat(),
-                         lr, rmsprop_);
+        nn::rmspropApply(theta_.flat(), rmspropG_.flat(), grads, lr,
+                         rmsprop_);
     }
     globalSteps_.fetch_add(steps_consumed, std::memory_order_relaxed);
+    return version_.fetch_add(1, std::memory_order_acq_rel) + 1;
 }
 
 } // namespace fa3c::rl

@@ -166,7 +166,6 @@ PaacTrainer::runBatch()
         clipGradNorm(grads_, cfg_.gradNormClip);
 
     global_.applyGradients(grads_, steps);
-    ++updates_;
 
     if (tw) {
         tw->hostCompleteEvent("RL batch", "train", phase_start,
@@ -189,8 +188,8 @@ PaacTrainer::checkpoint()
     ckpt.algorithm = "paac";
     ckpt.theta = net_.makeParams();
     ckpt.rmspropG = net_.makeParams();
-    global_.checkpoint(ckpt.theta, ckpt.rmspropG, ckpt.globalSteps);
-    ckpt.updates = updates_;
+    global_.checkpoint(ckpt.theta, ckpt.rmspropG, ckpt.globalSteps,
+                       ckpt.updates);
     ckpt.trainerRng = rng_.state();
     ckpt.scoreTail = scores_.tail(kScoreTailMax);
     ckpt.hasAgentState = true;
@@ -221,9 +220,9 @@ PaacTrainer::restore(const TrainingCheckpoint &ckpt)
         }
         rng_.setState(ckpt.trainerRng);
     }
-    global_.restore(ckpt.theta, ckpt.rmspropG, ckpt.globalSteps);
+    global_.restore(ckpt.theta, ckpt.rmspropG, ckpt.globalSteps,
+                    ckpt.updates);
     scores_.restore(ckpt.scoreTail);
-    updates_ = ckpt.updates;
     return true;
 }
 

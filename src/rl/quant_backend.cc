@@ -1,54 +1,17 @@
 #include "rl/quant_backend.hh"
 
 #include <algorithm>
-#include <chrono>
-#include <cstring>
 
 #include "nn/kernels/fc.hh"
 #include "nn/kernels/gemm.hh"
 #include "nn/kernels/im2col.hh"
 #include "nn/kernels/quant.hh"
-#include "nn/kernels/threadpool.hh"
-#include "obs/metrics.hh"
 #include "obs/profile.hh"
 #include "sim/logging.hh"
 
 namespace fa3c::rl {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-/** Same latency sampler as FastCpuBackend's (nn.kernel.* histograms). */
-class KernelTimer
-{
-  public:
-    explicit KernelTimer(const char *name)
-        : name_(name), enabled_(obs::metrics().enabled())
-    {
-        if (enabled_)
-            start_ = Clock::now();
-    }
-
-    ~KernelTimer()
-    {
-        if (!enabled_)
-            return;
-        const double us =
-            std::chrono::duration<double, std::micro>(Clock::now() -
-                                                      start_)
-                .count();
-        obs::metrics().sample("nn.kernel", name_, us);
-    }
-
-    KernelTimer(const KernelTimer &) = delete;
-    KernelTimer &operator=(const KernelTimer &) = delete;
-
-  private:
-    const char *name_;
-    bool enabled_;
-    Clock::time_point start_;
-};
 
 /** Dynamic per-tensor activation scale (dequant sx, inverse 127/m). */
 struct ActScale
@@ -62,22 +25,6 @@ actScale(const float *x, std::size_t n)
 {
     const float m = nn::kernels::rowMaxAbs(x, n);
     return {m / 127.0f, m > 0.0f ? 127.0f / m : 0.0f};
-}
-
-/** Work below this many MACs keeps a batched FC GEMM on one thread. */
-constexpr long long kMtFlopThreshold = 1LL << 24;
-
-/**
- * Strip-level task count for a batched quantized GEMM: same gate as
- * the fp32 batched FC (pool width, batch, strips, total work).
- */
-int
-mtTasks(int bsz, int strips, long long work)
-{
-    const int nt = nn::kernels::kernelThreads();
-    if (nt <= 1 || bsz < 4 || strips < 2 || work < kMtFlopThreshold)
-        return 1;
-    return std::min(nt, strips);
 }
 
 } // namespace
@@ -116,7 +63,7 @@ QuantCpuBackend::onQuantSync(
 }
 
 void
-QuantCpuBackend::ensureQuant(const nn::ParamSet &params)
+QuantCpuBackend::ensureForwardImage(const nn::ParamSet &params)
 {
     if (!quant_)
         onParamSync(params);
@@ -172,10 +119,17 @@ QuantCpuBackend::convLayerInt8(const nn::ConvSpec &spec,
 }
 
 void
-QuantCpuBackend::convTrunkInt8(const nn::ParamSet &params,
-                               const tensor::Tensor &obs,
-                               nn::A3cNetwork::Activations &act)
+QuantCpuBackend::forwardConvs(const nn::ParamSet &params,
+                              const tensor::Tensor &obs,
+                              nn::A3cNetwork::Activations &act)
 {
+    if (mode_ == nn::QuantMode::Fp16) {
+        // Fp16 mode keeps the conv trunk fp32: conv weights are a few
+        // KB, so halving their storage buys nothing, and the fp32
+        // trunk preserves feature-map fidelity for free.
+        FastCpuBackend::forwardConvs(params, obs, act);
+        return;
+    }
     act.input = obs;
     convLayerInt8(net_.conv1(), quant_->conv1, params.view("conv1.b"),
                   act.input.data().data(), act.conv1Pre.data().data());
@@ -220,31 +174,18 @@ QuantCpuBackend::fcBatchInt8(const nn::FcSpec &spec,
                       static_cast<std::size_t>(outF),
                   0);
 
-    // One M = batch qgemm, split by panel strips across the
-    // pool when the layer is wide enough. Integer accumulation is
-    // exact, so the split never changes results.
-    const int strips =
-        (outF + nn::kernels::kQuantPanelWidth - 1) /
-        nn::kernels::kQuantPanelWidth;
-    const long long work = static_cast<long long>(bsz) * outF * inF;
-    const int tasks = mtTasks(bsz, strips, work);
-    const std::size_t stripBytes =
-        static_cast<std::size_t>(nn::kernels::kQuantPanelWidth) * stride;
-    nn::kernels::parallelFor(tasks, [&](int task) {
-        const int s0 = strips * task / tasks;
-        const int s1 = strips * (task + 1) / tasks;
-        const int n0 = s0 * nn::kernels::kQuantPanelWidth;
-        const int n1 =
-            std::min(outF, s1 * nn::kernels::kQuantPanelWidth);
-        if (n1 <= n0)
-            return;
-        nn::kernels::qgemmAccPanels(
-            bsz, n1 - n0, inF, qrows_.data(),
-            static_cast<int>(stride),
-            qw.panels.data() + static_cast<std::size_t>(s0) *
-                                   stripBytes,
-            acc32_.data() + n0, outF);
-    });
+    // One M = batch qgemm, split by panel strips across the pool when
+    // the layer is wide enough. Integer accumulation is exact, so the
+    // split never changes results.
+    nn::kernels::fcSplitStrips(
+        bsz, outF, inF, nn::kernels::kQuantPanelWidth,
+        [&](int n0, int n1) {
+            nn::kernels::qgemmAccPanels(
+                bsz, n1 - n0, inF, qrows_.data(),
+                static_cast<int>(stride),
+                qw.panels.data() + static_cast<std::size_t>(n0) * stride,
+                acc32_.data() + n0, outF);
+        });
 
     for (int s = 0; s < bsz; ++s) {
         const float sxs = sx_[static_cast<std::size_t>(s)];
@@ -313,140 +254,41 @@ QuantCpuBackend::fcBatchHalf(const nn::FcSpec &spec,
             dst[o] = bias[static_cast<std::size_t>(o)];
     }
 
-    // Same strip-split as the fp32 panel GEMM; the half loads are
+    // Same strip split as the fp32 panel GEMM; the half loads are
     // exact, so this stays bit-identical across thread counts too.
-    const int strips = (outF + nn::kernels::kGemmPanelWidth - 1) /
-                       nn::kernels::kGemmPanelWidth;
-    const long long work = static_cast<long long>(bsz) * outF * inF;
-    const int tasks = mtTasks(bsz, strips, work);
-    const std::size_t stripHalfs =
-        static_cast<std::size_t>(inF) *
-        static_cast<std::size_t>(nn::kernels::kGemmPanelWidth);
-    nn::kernels::parallelFor(tasks, [&](int task) {
-        const int s0 = strips * task / tasks;
-        const int s1 = strips * (task + 1) / tasks;
-        const int n0 = s0 * nn::kernels::kGemmPanelWidth;
-        const int n1 =
-            std::min(outF, s1 * nn::kernels::kGemmPanelWidth);
-        if (n1 <= n0)
-            return;
-        nn::kernels::hgemmAccPanels(
-            bsz, n1 - n0, inF, in, inF,
-            panels.data() + static_cast<std::size_t>(s0) * stripHalfs,
-            out + n0, outF);
-    });
+    nn::kernels::fcSplitStrips(
+        bsz, outF, inF, nn::kernels::kGemmPanelWidth,
+        [&](int n0, int n1) {
+            nn::kernels::hgemmAccPanels(
+                bsz, n1 - n0, inF, in, inF,
+                panels.data() + static_cast<std::size_t>(n0) *
+                                    static_cast<std::size_t>(inF),
+                out + n0, outF);
+        });
 }
 
 void
-QuantCpuBackend::fcStack(const nn::ParamSet &params, int bsz,
-                         std::span<nn::A3cNetwork::Activations *const>
-                             acts)
+QuantCpuBackend::forwardFc(const nn::ParamSet &params, FcLayer layer,
+                           int bsz, const float *in, float *out)
 {
-    const nn::FcSpec &f3 = net_.fc3();
-    const nn::FcSpec &f4 = net_.fc4();
-    const std::size_t out3 = static_cast<std::size_t>(f3.outFeatures);
-    const std::size_t out4 = static_cast<std::size_t>(f4.outFeatures);
-    batchMid_.resize(static_cast<std::size_t>(bsz) * out3);
-    batchAct_.resize(static_cast<std::size_t>(bsz) * out3);
-    batchOut_.resize(static_cast<std::size_t>(bsz) * out4);
     const nn::QuantizedModel &q = *quant_;
-
-    if (mode_ == nn::QuantMode::Int8)
-        fcBatchInt8(f3, q.fc3, params.view("fc3.b"), bsz,
-                    batchIn_.data(), batchMid_.data());
-    else
-        fcBatchHalf(f3, q.fc3Half, params.view("fc3.b"), bsz,
-                    batchIn_.data(), batchMid_.data());
-
-    for (int s = 0; s < bsz; ++s) {
-        const float *pre =
-            batchMid_.data() + static_cast<std::size_t>(s) * out3;
-        float *post =
-            batchAct_.data() + static_cast<std::size_t>(s) * out3;
-        std::memcpy(acts[static_cast<std::size_t>(s)]->fc3Pre.data().data(),
-                    pre, out3 * sizeof(float));
-        for (std::size_t i = 0; i < out3; ++i)
-            post[i] = pre[i] > 0.0f ? pre[i] : 0.0f;
-        std::memcpy(acts[static_cast<std::size_t>(s)]->fc3Act.data().data(),
-                    post, out3 * sizeof(float));
-    }
-
-    if (q.fc4Small) {
+    const bool fc3 = layer == FcLayer::Fc3;
+    if (!fc3 && q.fc4Small && mode_ == nn::QuantMode::Fp16) {
         // The head is tiny: in fp16 mode it is not worth a quantized
-        // image at all — run the fp32 small-FC dot kernel off the
-        // canonical weights, like FastCpuBackend does.
-        if (mode_ == nn::QuantMode::Int8)
-            fcSmallInt8(f4, q.fc4Rows, params.view("fc4.b"), bsz,
-                        batchAct_.data(), batchOut_.data());
-        else {
-            KernelTimer t("fc_fw_small");
-            nn::kernels::fcForwardSmallBatch(
-                f4, bsz, batchAct_.data(), params.view("fc4.w"),
-                params.view("fc4.b"), batchOut_.data());
-        }
-    } else {
-        if (mode_ == nn::QuantMode::Int8)
-            fcBatchInt8(f4, q.fc4, params.view("fc4.b"), bsz,
-                        batchAct_.data(), batchOut_.data());
-        else
-            fcBatchHalf(f4, q.fc4Half, params.view("fc4.b"), bsz,
-                        batchAct_.data(), batchOut_.data());
-    }
-
-    for (int s = 0; s < bsz; ++s)
-        std::memcpy(acts[static_cast<std::size_t>(s)]->out.data().data(),
-                    batchOut_.data() +
-                        static_cast<std::size_t>(s) * out4,
-                    out4 * sizeof(float));
-}
-
-void
-QuantCpuBackend::forward(const nn::ParamSet &params,
-                         const tensor::Tensor &obs,
-                         nn::A3cNetwork::Activations &act)
-{
-    // One batched pass of size 1: same code path as forwardBatch, so
-    // batch/single parity is structural rather than replicated.
-    const tensor::Tensor *obsp[1] = {&obs};
-    nn::A3cNetwork::Activations *actp[1] = {&act};
-    forwardBatch(params,
-                 std::span<const tensor::Tensor *const>(obsp, 1),
-                 std::span<nn::A3cNetwork::Activations *const>(actp, 1));
-}
-
-void
-QuantCpuBackend::forwardBatch(
-    const nn::ParamSet &params,
-    std::span<const tensor::Tensor *const> obs,
-    std::span<nn::A3cNetwork::Activations *const> acts)
-{
-    FA3C_PROF_SCOPE("backend.forward_batch");
-    FA3C_ASSERT(obs.size() == acts.size(),
-                "forwardBatch obs/acts size mismatch");
-    if (obs.empty())
+        // image at all, so it runs the fp32 small-FC dot kernel off
+        // the canonical weights.
+        FastCpuBackend::forwardFc(params, layer, bsz, in, out);
         return;
-    ensureQuant(params);
-
-    const int bsz = static_cast<int>(obs.size());
-    const std::size_t in3 =
-        static_cast<std::size_t>(net_.fc3().inFeatures);
-    batchIn_.resize(static_cast<std::size_t>(bsz) * in3);
-    for (int s = 0; s < bsz; ++s) {
-        if (mode_ == nn::QuantMode::Int8)
-            convTrunkInt8(params, *obs[static_cast<std::size_t>(s)],
-                          *acts[static_cast<std::size_t>(s)]);
-        else
-            // Fp16 mode keeps the conv trunk fp32: conv weights are a
-            // few KB, so halving their storage buys nothing, and the
-            // fp32 trunk preserves feature-map fidelity for free.
-            forwardConvs(params, *obs[static_cast<std::size_t>(s)],
-                         *acts[static_cast<std::size_t>(s)]);
-        std::memcpy(
-            batchIn_.data() + static_cast<std::size_t>(s) * in3,
-            acts[static_cast<std::size_t>(s)]->conv2Flat.data().data(),
-            in3 * sizeof(float));
     }
-    fcStack(params, bsz, acts);
+    const nn::FcSpec &spec = fc3 ? net_.fc3() : net_.fc4();
+    const auto bias = params.view(fc3 ? "fc3.b" : "fc4.b");
+    if (mode_ == nn::QuantMode::Fp16)
+        fcBatchHalf(spec, fc3 ? q.fc3Half : q.fc4Half, bias, bsz, in,
+                    out);
+    else if (!fc3 && q.fc4Small)
+        fcSmallInt8(spec, q.fc4Rows, bias, bsz, in, out);
+    else
+        fcBatchInt8(spec, fc3 ? q.fc3 : q.fc4, bias, bsz, in, out);
 }
 
 } // namespace fa3c::rl

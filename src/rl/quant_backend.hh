@@ -15,6 +15,11 @@
  *    weights are stored as IEEE halves and up-converted exactly
  *    inside the GEMM, halving weight-matrix bandwidth.
  *
+ * These are per-layer kernels inside FastCpuBackend's one forward
+ * pipeline: this class overrides only the image check, the conv trunk
+ * of one sample, and one FC layer, so forward() and forwardBatch()
+ * (gather, ReLU, scatter) are the base class's.
+ *
  * The image arrives either pre-built via onQuantSync (serving:
  * ModelRegistry quantizes once per publish and shares it across
  * workers) or is derived locally in onParamSync (trainers). Training
@@ -57,29 +62,26 @@ class QuantCpuBackend : public FastCpuBackend
         const nn::ParamSet &params,
         std::shared_ptr<const nn::QuantizedModel> quant) override;
 
-    void forward(const nn::ParamSet &params, const tensor::Tensor &obs,
-                 nn::A3cNetwork::Activations &act) override;
+  protected:
+    /** Quantize locally when forward arrives before any sync. */
+    void ensureForwardImage(const nn::ParamSet &params) override;
 
-    void
-    forwardBatch(const nn::ParamSet &params,
-                 std::span<const tensor::Tensor *const> obs,
-                 std::span<nn::A3cNetwork::Activations *const> acts)
-        override;
+    /** Int8: the quantized conv trunk; Fp16: the inherited fp32 one. */
+    void forwardConvs(const nn::ParamSet &params,
+                      const tensor::Tensor &obs,
+                      nn::A3cNetwork::Activations &act) override;
+
+    /** Int8 panels/rows or half panels; an fp16 small head runs the
+     * inherited fp32 dot kernel off the canonical weights. */
+    void forwardFc(const nn::ParamSet &params, FcLayer layer, int bsz,
+                   const float *in, float *out) override;
 
   private:
-    /** Quantize locally when forward arrives before any sync. */
-    void ensureQuant(const nn::ParamSet &params);
-
     /** One int8 conv layer: quantize -> im2row8 -> qgemm -> dequant. */
     void convLayerInt8(const nn::ConvSpec &spec,
                        const nn::QuantizedModel::Int8Panels &qw,
                        std::span<const float> bias, const float *in,
                        float *outPre);
-
-    /** Int8 conv trunk writing the standard activation tensors. */
-    void convTrunkInt8(const nn::ParamSet &params,
-                       const tensor::Tensor &obs,
-                       nn::A3cNetwork::Activations &act);
 
     /** Batched int8 FC: out[s][o] = deq(qgemm) + bias[o]. */
     void fcBatchInt8(const nn::FcSpec &spec,
@@ -98,10 +100,6 @@ class QuantCpuBackend : public FastCpuBackend
                      const std::vector<std::uint16_t> &panels,
                      std::span<const float> bias, int bsz,
                      const float *in, float *out);
-
-    /** The FC stack shared by forward and forwardBatch. */
-    void fcStack(const nn::ParamSet &params, int bsz,
-                 std::span<nn::A3cNetwork::Activations *const> acts);
 
     nn::QuantMode mode_;
     std::shared_ptr<const nn::QuantizedModel> quant_;

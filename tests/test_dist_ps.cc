@@ -3,7 +3,7 @@
  * TCP: join/pull/push/heartbeat/stats/bye, layout-mismatch rejection
  * at Hello, the staleness bound in synchronous mode, lease expiry for
  * a silent worker, PS checkpoint/restore across a restart, and the
- * equivalence of the sharded state with the in-process GlobalParams.
+ * exact RMSProp arithmetic of a push.
  */
 
 #include <gtest/gtest.h>
@@ -23,10 +23,9 @@
 
 #include "dist/ps_client.hh"
 #include "dist/ps_server.hh"
-#include "dist/sharded_params.hh"
 #include "net/frame.hh"
 #include "nn/a3c_network.hh"
-#include "rl/global_params.hh"
+#include "nn/rmsprop.hh"
 #include "sim/rng.hh"
 
 using namespace fa3c;
@@ -437,50 +436,63 @@ TEST(DistPs, CorruptCheckpointRefusesToStart)
     EXPECT_FALSE(ps.start());
 }
 
-TEST(DistPs, ShardedParamsMatchesGlobalParamsExactly)
+TEST(DistPs, PushesApplyExactlyTheAnnealedRmspropUpdate)
 {
+    // N accepted pushes must leave theta bit-identical to N
+    // nn::rmspropApply calls over the flat arrays, each at the
+    // linearly annealed learning rate of the steps consumed before it.
     const nn::A3cNetwork net(tinyNet());
-    nn::RmspropConfig rmsprop;
-    const float lr = 1e-3f;
-    const std::uint64_t anneal = 10000;
+    PsServerConfig cfg;
+    cfg.initialLr = 1e-3f;
+    cfg.annealSteps = 100;
+    cfg.seed = 33;
+    PsServer ps(net, cfg);
+    ASSERT_TRUE(ps.start());
 
-    rl::GlobalParams reference(net, rmsprop, lr, anneal);
-    ShardedParams sharded(net, rmsprop, lr, anneal, 8);
-    {
-        sim::Rng rng(33);
-        reference.initialize(rng);
-    }
-    {
-        sim::Rng rng(33);
-        sharded.initialize(rng);
-    }
+    PsClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", ps.port()));
+    wire::Welcome welcome;
+    ASSERT_TRUE(client.hello(helloFor(net, "w0"), welcome));
+    const std::size_t count = net.makeParams().size();
+    wire::Params pulled;
+    ASSERT_TRUE(client.pull(pulled, count));
 
-    // Same deterministic gradient sequence through both: the sharded
-    // path must be bit-identical to the single-mutex GlobalParams —
-    // sharding changes locking, never arithmetic.
-    nn::ParamSet grads = net.makeParams();
+    std::vector<float> theta = pulled.theta;
+    std::vector<float> g(count, 0.0f);
+    std::uint64_t steps = 0;
+    wire::Push push;
+    push.workerId = welcome.workerId;
+    push.steps = 30;
+    push.grads.resize(count);
+    wire::PushAck ack;
     sim::Rng grad_rng(91);
+    // Five pushes of 30 steps against a 100-step horizon: the last
+    // two run at lr 0, which must leave theta and g untouched.
     for (int round = 0; round < 5; ++round) {
-        for (float &g : grads.flat())
-            g = grad_rng.uniformF() - 0.5f;
-        reference.applyGradients(grads, 20);
-        sharded.apply(grads.flat(), 20);
-    }
+        for (float &x : push.grads)
+            x = grad_rng.uniformF() - 0.5f;
+        push.baseVersion = ack.version;
+        ASSERT_TRUE(client.push(push, ack, count));
+        ASSERT_EQ(ack.accepted, 1u);
+        EXPECT_EQ(ack.version, static_cast<std::uint64_t>(round + 1));
 
-    EXPECT_EQ(sharded.version(), 5u);
-    EXPECT_EQ(sharded.steps(), reference.globalSteps());
-    EXPECT_FLOAT_EQ(sharded.currentLearningRate(),
-                    reference.currentLearningRate());
-
-    const nn::ParamSet ref_theta = reference.theta();
-    std::vector<float> sharded_theta;
-    sharded.snapshot(sharded_theta);
-    ASSERT_EQ(sharded_theta.size(), ref_theta.size());
-    float max_diff = 0.0f;
-    const auto ref_flat = ref_theta.flat();
-    for (std::size_t i = 0; i < sharded_theta.size(); ++i) {
-        const float d = sharded_theta[i] - ref_flat[i];
-        max_diff = std::max(max_diff, d < 0 ? -d : d);
+        const float lr =
+            steps >= cfg.annealSteps
+                ? 0.0f
+                : static_cast<float>(
+                      cfg.initialLr *
+                      (1.0 - static_cast<double>(steps) /
+                                 static_cast<double>(cfg.annealSteps)));
+        if (lr > 0.0f)
+            nn::rmspropApply(theta, g, push.grads, lr, cfg.rmsprop);
+        steps += push.steps;
     }
-    EXPECT_EQ(max_diff, 0.0f);
+    EXPECT_EQ(ps.params().version(), 5u);
+    EXPECT_EQ(ps.params().globalSteps(), steps);
+    EXPECT_EQ(ps.params().currentLearningRate(), 0.0f);
+
+    std::vector<float> got;
+    ps.params().snapshot(got);
+    EXPECT_EQ(got, theta);
+    ps.stop();
 }

@@ -1,11 +1,10 @@
 /**
  * @file
- * Shared strict-JSON test helpers: a minimal DOM + recursive-descent
- * parser that throws on any deviation from JSON, plus temp-file and
- * slurp utilities. Used by every test that validates an emitted
- * document (trace files, metrics exports, telemetry payloads) —
- * strictness is the point, a truncated or trailing-comma file must
- * fail the test.
+ * Shared test helpers for validating emitted JSON documents (trace
+ * files, metrics exports, telemetry payloads): slurp a file, a temp
+ * file removed at scope exit, and parseFile, which reads a file
+ * through the strict obs::parseJson — a truncated or trailing-comma
+ * file must fail the test.
  */
 
 #ifndef FA3C_TESTS_TEST_JSON_HH
@@ -13,247 +12,14 @@
 
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <sstream>
-#include <stdexcept>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "obs/json.hh"
+
 namespace fa3c::test {
-
-/** Minimal strict JSON DOM, enough to validate emitted documents. */
-struct JsonValue
-{
-    enum class Kind { Null, Bool, Number, String, Array, Object };
-    Kind kind = Kind::Null;
-    bool boolean = false;
-    double number = 0.0;
-    std::string str;
-    std::vector<JsonValue> array;
-    std::map<std::string, JsonValue> object;
-
-    bool has(const std::string &k) const { return object.count(k) > 0; }
-
-    const JsonValue &
-    at(const std::string &k) const
-    {
-        auto it = object.find(k);
-        if (it == object.end())
-            throw std::runtime_error("missing key: " + k);
-        return it->second;
-    }
-};
-
-/** Recursive-descent parser; throws on any deviation from JSON. */
-class JsonParser
-{
-  public:
-    explicit JsonParser(const std::string &text) : s_(text) {}
-
-    JsonValue
-    parse()
-    {
-        const JsonValue v = parseValue();
-        skipWs();
-        if (pos_ != s_.size())
-            fail("trailing characters");
-        return v;
-    }
-
-  private:
-    const std::string &s_;
-    std::size_t pos_ = 0;
-
-    [[noreturn]] void
-    fail(const std::string &why) const
-    {
-        throw std::runtime_error("JSON error at offset " +
-                                 std::to_string(pos_) + ": " + why);
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < s_.size() &&
-               (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\n' ||
-                s_[pos_] == '\r'))
-            ++pos_;
-    }
-
-    char
-    peek()
-    {
-        if (pos_ >= s_.size())
-            fail("unexpected end");
-        return s_[pos_];
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            fail(std::string("expected '") + c + "'");
-        ++pos_;
-    }
-
-    JsonValue
-    parseValue()
-    {
-        skipWs();
-        switch (peek()) {
-          case '{': return parseObject();
-          case '[': return parseArray();
-          case '"': return parseString();
-          case 't': return parseLiteral("true", true);
-          case 'f': return parseLiteral("false", false);
-          case 'n': return parseLiteral("null", false);
-          default: return parseNumber();
-        }
-    }
-
-    JsonValue
-    parseLiteral(const std::string &word, bool value)
-    {
-        if (s_.compare(pos_, word.size(), word) != 0)
-            fail("bad literal");
-        pos_ += word.size();
-        JsonValue v;
-        v.kind = word == "null" ? JsonValue::Kind::Null
-                                : JsonValue::Kind::Bool;
-        v.boolean = value;
-        return v;
-    }
-
-    JsonValue
-    parseNumber()
-    {
-        const std::size_t start = pos_;
-        if (peek() == '-')
-            ++pos_;
-        auto digits = [&]() {
-            if (pos_ >= s_.size() || s_[pos_] < '0' || s_[pos_] > '9')
-                fail("expected digit");
-            while (pos_ < s_.size() && s_[pos_] >= '0' && s_[pos_] <= '9')
-                ++pos_;
-        };
-        digits();
-        if (pos_ < s_.size() && s_[pos_] == '.') {
-            ++pos_;
-            digits();
-        }
-        if (pos_ < s_.size() && (s_[pos_] == 'e' || s_[pos_] == 'E')) {
-            ++pos_;
-            if (pos_ < s_.size() && (s_[pos_] == '+' || s_[pos_] == '-'))
-                ++pos_;
-            digits();
-        }
-        JsonValue v;
-        v.kind = JsonValue::Kind::Number;
-        v.number = std::stod(s_.substr(start, pos_ - start));
-        return v;
-    }
-
-    JsonValue
-    parseString()
-    {
-        expect('"');
-        JsonValue v;
-        v.kind = JsonValue::Kind::String;
-        while (true) {
-            if (pos_ >= s_.size())
-                fail("unterminated string");
-            const char c = s_[pos_++];
-            if (c == '"')
-                break;
-            if (static_cast<unsigned char>(c) < 0x20)
-                fail("raw control character in string");
-            if (c != '\\') {
-                v.str += c;
-                continue;
-            }
-            if (pos_ >= s_.size())
-                fail("unterminated escape");
-            const char e = s_[pos_++];
-            switch (e) {
-              case '"': v.str += '"'; break;
-              case '\\': v.str += '\\'; break;
-              case '/': v.str += '/'; break;
-              case 'b': v.str += '\b'; break;
-              case 'f': v.str += '\f'; break;
-              case 'n': v.str += '\n'; break;
-              case 'r': v.str += '\r'; break;
-              case 't': v.str += '\t'; break;
-              case 'u': {
-                  if (pos_ + 4 > s_.size())
-                      fail("bad \\u escape");
-                  for (int i = 0; i < 4; ++i) {
-                      const char h = s_[pos_++];
-                      if (!((h >= '0' && h <= '9') ||
-                            (h >= 'a' && h <= 'f') ||
-                            (h >= 'A' && h <= 'F')))
-                          fail("bad hex digit");
-                  }
-                  v.str += '?'; // tests never check escaped content
-                  break;
-              }
-              default: fail("bad escape");
-            }
-        }
-        return v;
-    }
-
-    JsonValue
-    parseArray()
-    {
-        expect('[');
-        JsonValue v;
-        v.kind = JsonValue::Kind::Array;
-        skipWs();
-        if (peek() == ']') {
-            ++pos_;
-            return v;
-        }
-        while (true) {
-            v.array.push_back(parseValue());
-            skipWs();
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            expect(']');
-            return v;
-        }
-    }
-
-    JsonValue
-    parseObject()
-    {
-        expect('{');
-        JsonValue v;
-        v.kind = JsonValue::Kind::Object;
-        skipWs();
-        if (peek() == '}') {
-            ++pos_;
-            return v;
-        }
-        while (true) {
-            skipWs();
-            const JsonValue key = parseString();
-            skipWs();
-            expect(':');
-            v.object[key.str] = parseValue();
-            skipWs();
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            expect('}');
-            return v;
-        }
-    }
-};
 
 inline std::string
 slurp(const std::string &path)
@@ -279,12 +45,13 @@ class TempFile
     std::string path_;
 };
 
-inline JsonValue
+/** Parse the file at @p path as one strict JSON document. */
+inline obs::Json
 parseFile(const std::string &path)
 {
     const std::string text = slurp(path);
     EXPECT_FALSE(text.empty()) << path;
-    return JsonParser(text).parse();
+    return obs::parseJson(text);
 }
 
 } // namespace fa3c::test

@@ -54,6 +54,24 @@ columnInv(int n, int k, const std::vector<float> &b)
     return inv;
 }
 
+/** B^T of a row-major B[k x n], rows padded to stride @p ld >= k
+ * (the canonical [n][k] weight rows the packers read). */
+std::vector<float>
+transposeOf(int n, int k, const std::vector<float> &b, int ld)
+{
+    std::vector<float> bt(static_cast<std::size_t>(n) *
+                              static_cast<std::size_t>(ld),
+                          -9.0f);
+    for (int p = 0; p < k; ++p)
+        for (int j = 0; j < n; ++j)
+            bt[static_cast<std::size_t>(j) * static_cast<std::size_t>(ld) +
+               static_cast<std::size_t>(p)] =
+                b[static_cast<std::size_t>(p) *
+                      static_cast<std::size_t>(n) +
+                  static_cast<std::size_t>(j)];
+    return bt;
+}
+
 /** The quantizer qgemmPackPanels applies, reproduced naively. */
 std::int8_t
 quantNaive(float v, float inv)
@@ -87,20 +105,56 @@ TEST(NnQgemm, PackAndGemmMatchNaiveIntegerReference)
 {
     // Geometries chosen to exercise every padding path: k not a
     // multiple of the quad depth, n not a multiple of the strip
-    // width, m not a multiple of the register tile.
+    // width (down to a 5-column last strip after two full ones), m
+    // not a multiple of the register tile.
     const struct {
         int m, n, k;
-    } cases[] = {{1, 8, 4},   {5, 8, 13},  {16, 24, 32},
-                 {7, 11, 10}, {9, 40, 27}, {3, 7, 64}};
+    } cases[] = {{1, 8, 4},   {5, 8, 13},  {16, 24, 32}, {7, 11, 10},
+                 {9, 40, 27}, {3, 7, 64},  {4, 37, 29}};
     sim::Rng rng(17);
     for (const auto &cs : cases) {
         const auto b = randomMatrix(static_cast<std::size_t>(cs.k) *
                                         static_cast<std::size_t>(cs.n),
                                     rng);
         const auto inv = columnInv(cs.n, cs.k, b);
+        // The packers read B^T rows (padded stride, so a packer that
+        // assumed ldbt == k would read the -9 filler).
+        const int ldbt = cs.k + 3;
+        const auto bt = transposeOf(cs.n, cs.k, b, ldbt);
         std::vector<std::int8_t> panels(qgemmPanelBytes(cs.n, cs.k));
-        qgemmPackPanels(cs.n, cs.k, b.data(), cs.n, inv.data(),
+        qgemmPackPanels(cs.n, cs.k, bt.data(), ldbt, inv.data(),
                         panels.data());
+
+        // The image equals the quad-interleaved layout of B spelled
+        // out element by element, padding bytes included.
+        std::vector<std::int8_t> want(panels.size(), 0);
+        const int k4 = qrowStride(cs.k) / kQuantPanelDepth;
+        std::size_t at = 0;
+        for (int j0 = 0; j0 < cs.n; j0 += kQuantPanelWidth)
+            for (int q = 0; q < k4; ++q)
+                for (int j = 0; j < kQuantPanelWidth; ++j)
+                    for (int t = 0; t < kQuantPanelDepth; ++t, ++at) {
+                        const int p = kQuantPanelDepth * q + t;
+                        if (j0 + j < cs.n && p < cs.k)
+                            want[at] = quantNaive(
+                                b[static_cast<std::size_t>(p) *
+                                      static_cast<std::size_t>(cs.n) +
+                                  static_cast<std::size_t>(j0 + j)],
+                                inv[static_cast<std::size_t>(j0 + j)]);
+                    }
+        ASSERT_EQ(at, panels.size());
+        EXPECT_EQ(panels, want) << "n=" << cs.n << " k=" << cs.k;
+
+        // The fp16 image has the fp32 panel geometry of B, word for
+        // word the half of each fp32 panel word (0 in the padding).
+        std::vector<float> fpanels(gemmPanelSize(cs.n, cs.k));
+        gemmPackPanels(cs.n, cs.k, b.data(), cs.n, fpanels.data());
+        std::vector<std::uint16_t> hpanels(halfPanelSize(cs.n, cs.k));
+        halfPackPanels(cs.n, cs.k, bt.data(), ldbt, hpanels.data());
+        ASSERT_EQ(hpanels.size(), fpanels.size());
+        for (std::size_t i = 0; i < hpanels.size(); ++i)
+            ASSERT_EQ(hpanels[i], floatToHalf(fpanels[i]))
+                << "n=" << cs.n << " k=" << cs.k << " word " << i;
 
         const auto a = randomActRows(cs.m, cs.k, rng);
         const int lda = qrowStride(cs.k);
@@ -157,11 +211,12 @@ TEST(NnQgemm, SimdTablesBitIdenticalToGeneric)
     const auto bias = randomMatrix(static_cast<std::size_t>(n), rng);
     std::vector<float> fpanels(gemmPanelSize(n, k));
     gemmPackPanels(n, k, b.data(), n, fpanels.data());
+    const auto bt = transposeOf(n, k, b, k);
     std::vector<std::uint16_t> hpanels(halfPanelSize(n, k));
-    halfPackPanels(n, k, b.data(), n, hpanels.data());
+    halfPackPanels(n, k, bt.data(), k, hpanels.data());
     const auto inv = columnInv(n, k, b);
     std::vector<std::int8_t> qpanels(qgemmPanelBytes(n, k));
-    qgemmPackPanels(n, k, b.data(), n, inv.data(), qpanels.data());
+    qgemmPackPanels(n, k, bt.data(), k, inv.data(), qpanels.data());
     const auto a8 = randomActRows(m, k, rng);
     const int lda8 = qrowStride(k);
 

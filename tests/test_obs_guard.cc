@@ -37,8 +37,7 @@
 
 using namespace fa3c;
 using namespace std::chrono_literals;
-using test::JsonParser;
-using test::JsonValue;
+using obs::Json;
 using test::TempFile;
 using test::slurp;
 
@@ -61,16 +60,16 @@ guardChildMain()
 }
 
 /** Parse @p path if it exists and is complete JSON; Null otherwise. */
-JsonValue
+Json
 tryParseFile(const std::string &path)
 {
     const std::string text = slurp(path);
     if (text.empty())
-        return JsonValue{};
+        return Json{};
     try {
-        return JsonParser(text).parse();
+        return obs::parseJson(text);
     } catch (const std::exception &) {
-        return JsonValue{};
+        return Json{};
     }
 }
 
@@ -114,8 +113,8 @@ TEST(ExportGuard, SigtermFlushesMetricsAndFinalizesTrace)
     // with at least one heartbeat: proof the child is mid-run.
     bool snapshot_seen = false;
     for (int i = 0; i < 200 && !snapshot_seen; ++i) {
-        const JsonValue doc = tryParseFile(metrics_path);
-        if (doc.kind == JsonValue::Kind::Object && doc.has("groups") &&
+        const Json doc = tryParseFile(metrics_path);
+        if (doc.kind == Json::Kind::Object && doc.has("groups") &&
             doc.at("groups").has("guard"))
             snapshot_seen = true;
         else
@@ -135,9 +134,9 @@ TEST(ExportGuard, SigtermFlushesMetricsAndFinalizesTrace)
     }
 
     // The metrics export must be complete JSON with the child's data.
-    const JsonValue doc = test::parseFile(metrics_path);
+    const Json doc = test::parseFile(metrics_path);
     EXPECT_EQ(doc.at("schema").str, "fa3c.metrics.v1");
-    const JsonValue &guard = doc.at("groups").at("guard");
+    const Json &guard = doc.at("groups").at("guard");
     EXPECT_GE(guard.at("counters").at("heartbeat").number, 1.0);
     EXPECT_GE(
         guard.at("distributions").at("work_us").at("count").number,
@@ -145,7 +144,7 @@ TEST(ExportGuard, SigtermFlushesMetricsAndFinalizesTrace)
 
     // The trace must have been finalized by the signal handler: the
     // strict parser rejects a truncated file with no footer.
-    const JsonValue trace_doc = test::parseFile(trace_path);
+    const Json trace_doc = test::parseFile(trace_path);
     EXPECT_FALSE(trace_doc.at("traceEvents").array.empty());
     EXPECT_TRUE(trace_doc.at("otherData").has("droppedEvents"));
 
@@ -173,7 +172,7 @@ TEST(TraceWriterCap, ByteCapDropsEventsButKeepsValidJson)
     EXPECT_GT(written, 0u);
     EXPECT_LT(written, 1000u);
 
-    const JsonValue doc = test::parseFile(file.path());
+    const Json doc = test::parseFile(file.path());
     EXPECT_EQ(doc.at("otherData").at("droppedEvents").number,
               static_cast<double>(dropped));
     // Metadata events (process/thread names) ride along with the "X"
@@ -198,7 +197,7 @@ TEST(TraceWriterCap, EventCapStillHonored)
         dropped = w.eventsDropped();
         EXPECT_EQ(dropped, 93u);
     }
-    const JsonValue doc = test::parseFile(file.path());
+    const Json doc = test::parseFile(file.path());
     EXPECT_EQ(doc.at("otherData").at("droppedEvents").number,
               static_cast<double>(dropped));
     EXPECT_EQ(doc.at("traceEvents").array.size(), 10u);

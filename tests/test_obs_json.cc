@@ -76,6 +76,18 @@ TEST(ParseJson, RejectsRawControlCharsInStrings)
     EXPECT_THROW(parseJson(bad), std::runtime_error);
 }
 
+TEST(ParseJson, RejectsBadEscapesAndNumbers)
+{
+    EXPECT_THROW(parseJson(R"("\q")"), std::runtime_error);
+    EXPECT_THROW(parseJson(R"("\u00zz")"), std::runtime_error);
+    EXPECT_THROW(parseJson(R"("\u00")"), std::runtime_error);
+    EXPECT_THROW(parseJson("\"\\"), std::runtime_error);
+    EXPECT_THROW(parseJson("-"), std::runtime_error);
+    EXPECT_THROW(parseJson("1."), std::runtime_error);
+    EXPECT_THROW(parseJson("1e+"), std::runtime_error);
+    EXPECT_THROW(parseJson("[1 2]"), std::runtime_error);
+}
+
 TEST(JsonDom, AccessorsThrowOnKindMismatch)
 {
     const Json doc = parseJson(R"({"n":1,"s":"x"})");

@@ -46,7 +46,7 @@
 
 using namespace fa3c;
 using namespace std::chrono_literals;
-using test::JsonValue;
+using obs::Json;
 
 namespace {
 
@@ -427,7 +427,7 @@ TEST(SpanTracing, RequestChainIsConnectedAcrossPipeline)
     obs::trace()->flush();
     obs::trace()->closeBestEffort();
 
-    const JsonValue doc = test::parseFile(g_trace_path);
+    const Json doc = test::parseFile(g_trace_path);
     struct Span
     {
         std::string name;
@@ -435,7 +435,7 @@ TEST(SpanTracing, RequestChainIsConnectedAcrossPipeline)
     };
     std::map<double, Span> by_id;
     int batch_exec = 0;
-    for (const JsonValue &ev : doc.at("traceEvents").array) {
+    for (const Json &ev : doc.at("traceEvents").array) {
         if (!ev.has("cat") || ev.at("cat").str != "span")
             continue;
         Span s;

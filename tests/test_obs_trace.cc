@@ -25,8 +25,7 @@
 
 using namespace fa3c;
 
-using test::JsonParser;
-using test::JsonValue;
+using obs::Json;
 using test::TempFile;
 using test::parseFile;
 using test::slurp;
@@ -45,13 +44,13 @@ TEST(TraceWriter, EmitsValidJson)
         tw.setSimProcess(pid);
         tw.completeEvent("CU 0", "bw:conv1", 0, 500'000);
     }
-    const JsonValue doc = parseFile(file.path());
-    ASSERT_EQ(doc.kind, JsonValue::Kind::Object);
-    const JsonValue &events = doc.at("traceEvents");
-    ASSERT_EQ(events.kind, JsonValue::Kind::Array);
+    const Json doc = parseFile(file.path());
+    ASSERT_EQ(doc.kind, Json::Kind::Object);
+    const Json &events = doc.at("traceEvents");
+    ASSERT_EQ(events.kind, Json::Kind::Array);
     EXPECT_GT(events.array.size(), 4u);
-    for (const JsonValue &e : events.array) {
-        ASSERT_EQ(e.kind, JsonValue::Kind::Object);
+    for (const Json &e : events.array) {
+        ASSERT_EQ(e.kind, Json::Kind::Object);
         EXPECT_TRUE(e.has("ph"));
         EXPECT_TRUE(e.has("pid"));
     }
@@ -68,9 +67,9 @@ TEST(TraceWriter, TracksBecomeNamedThreads)
         tw.completeEvent("DRAM ch0", "xfer", 0, 10);
         tw.hostCompleteEvent("RL worker 0", "routine", 0.0, 1.0);
     }
-    const JsonValue doc = parseFile(file.path());
+    const Json doc = parseFile(file.path());
     std::vector<std::string> thread_names;
-    for (const JsonValue &e : doc.at("traceEvents").array) {
+    for (const Json &e : doc.at("traceEvents").array) {
         if (e.at("ph").str == "M" &&
             e.at("name").str == "thread_name")
             thread_names.push_back(e.at("args").at("name").str);
@@ -92,10 +91,10 @@ TEST(TraceWriter, SpansNestByContainment)
         tw.completeEvent("CU 0", "task", 1'000'000, 9'000'000);
         tw.completeEvent("CU 0", "phase", 2'000'000, 5'000'000);
     }
-    const JsonValue doc = parseFile(file.path());
-    const JsonValue *outer = nullptr;
-    const JsonValue *inner = nullptr;
-    for (const JsonValue &e : doc.at("traceEvents").array) {
+    const Json doc = parseFile(file.path());
+    const Json *outer = nullptr;
+    const Json *inner = nullptr;
+    for (const Json &e : doc.at("traceEvents").array) {
         if (e.at("ph").str != "X")
             continue;
         if (e.at("name").str == "task")
@@ -127,11 +126,11 @@ TEST(TraceWriter, CounterTimestampsMonotonic)
                             static_cast<double>(total));
         }
     }
-    const JsonValue doc = parseFile(file.path());
+    const Json doc = parseFile(file.path());
     double last_ts = -1.0;
     double last_value = -1.0;
     int counters = 0;
-    for (const JsonValue &e : doc.at("traceEvents").array) {
+    for (const Json &e : doc.at("traceEvents").array) {
         if (e.at("ph").str != "C")
             continue;
         ++counters;
@@ -155,7 +154,7 @@ TEST(TraceWriter, EventCapRecordsDrops)
         EXPECT_EQ(tw.eventsWritten(), 3u);
         EXPECT_EQ(tw.eventsDropped(), 9u);
     }
-    const JsonValue doc = parseFile(file.path());
+    const Json doc = parseFile(file.path());
     EXPECT_EQ(doc.at("traceEvents").array.size(), 3u);
     EXPECT_EQ(doc.at("otherData").at("droppedEvents").number, 9.0);
 }
@@ -184,11 +183,11 @@ TEST(MetricsRegistry, SnapshotCarriesCountersAndPercentiles)
     reg.count("fa3c.dram", "ch0.bytes", 65536);
     for (int i = 1; i <= 100; ++i)
         reg.sample("fa3c.cu", "phase.fw.cycles", static_cast<double>(i));
-    const JsonValue doc = JsonParser(reg.snapshotJson()).parse();
+    const Json doc = obs::parseJson(reg.snapshotJson());
     EXPECT_EQ(doc.at("schema").str, "fa3c.metrics.v1");
-    const JsonValue &dram = doc.at("groups").at("fa3c.dram");
+    const Json &dram = doc.at("groups").at("fa3c.dram");
     EXPECT_EQ(dram.at("counters").at("ch0.bytes").number, 65536.0);
-    const JsonValue &dist = doc.at("groups")
+    const Json &dist = doc.at("groups")
                                 .at("fa3c.cu")
                                 .at("distributions")
                                 .at("phase.fw.cycles");
@@ -219,8 +218,8 @@ TEST(MetricsRegistry, ScopedGroupRetainsFinalSnapshot)
         group.counter("dram.ch0.bytes").inc(1);
     }
     // The live group is gone; its final values must survive export.
-    const JsonValue doc = JsonParser(reg.snapshotJson()).parse();
-    const JsonValue &groups = doc.at("groups");
+    const Json doc = obs::parseJson(reg.snapshotJson());
+    const Json &groups = doc.at("groups");
     ASSERT_TRUE(groups.has("FA3C x16.board@0"));
     EXPECT_EQ(groups.at("FA3C x16.board@0")
                   .at("counters")
@@ -236,7 +235,7 @@ TEST(MetricsRegistry, WriteToProducesValidJsonFile)
     reg.setEnabled(true);
     reg.count("g", "c", 7);
     ASSERT_TRUE(reg.writeTo(file.path()));
-    const JsonValue doc = parseFile(file.path());
+    const Json doc = parseFile(file.path());
     EXPECT_EQ(doc.at("groups").at("g").at("counters").at("c").number,
               7.0);
 }
@@ -251,7 +250,7 @@ TEST(MetricsRegistry, WriteToCreatesMissingParentDirs)
     reg.setEnabled(true);
     reg.count("g", "c", 3);
     ASSERT_TRUE(reg.writeTo(path));
-    const JsonValue doc = parseFile(path);
+    const Json doc = parseFile(path);
     EXPECT_EQ(doc.at("groups").at("g").at("counters").at("c").number,
               3.0);
     std::filesystem::remove_all(::testing::TempDir() + "obs_guard");
@@ -265,7 +264,7 @@ TEST(MetricsRegistry, FlushBestEffortWritesExportPath)
     reg.setExportPath(file.path());
     reg.count("g", "c", 11);
     ASSERT_TRUE(reg.flushBestEffort());
-    const JsonValue doc = parseFile(file.path());
+    const Json doc = parseFile(file.path());
     EXPECT_EQ(doc.at("groups").at("g").at("counters").at("c").number,
               11.0);
 }
@@ -281,8 +280,8 @@ TEST(TraceWriter, CreatesMissingParentDirs)
         ASSERT_TRUE(tw.ok());
         tw.completeEvent("CU 0", "fw", 0, 1'000'000);
     }
-    const JsonValue doc = parseFile(path);
-    EXPECT_EQ(doc.at("traceEvents").kind, JsonValue::Kind::Array);
+    const Json doc = parseFile(path);
+    EXPECT_EQ(doc.at("traceEvents").kind, Json::Kind::Array);
     std::filesystem::remove_all(::testing::TempDir() +
                                 "obs_guard_trace");
 }
@@ -297,7 +296,7 @@ TEST(TraceWriter, CloseBestEffortFinalizesJson)
     ASSERT_TRUE(tw.ok());
     tw.completeEvent("CU 0", "fw", 0, 1'000'000);
     tw.closeBestEffort();
-    const JsonValue doc = parseFile(file.path());
+    const Json doc = parseFile(file.path());
     EXPECT_EQ(doc.at("otherData").at("droppedEvents").number, 0.0);
     // Post-close events are dropped silently, not corrupted.
     tw.completeEvent("CU 0", "late", 0, 1'000'000);
@@ -311,5 +310,5 @@ TEST(JsonHelpers, EscapeAndNumbers)
     // Non-finite values must degrade to a valid token.
     const std::string inf = obs::jsonNumber(
         std::numeric_limits<double>::infinity());
-    EXPECT_NO_THROW(JsonParser(inf).parse());
+    EXPECT_NO_THROW(obs::parseJson(inf));
 }

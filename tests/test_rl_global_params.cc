@@ -1,17 +1,15 @@
 /** @file
- * Concurrency stress tests of the two parameter planes, written to
- * run under ThreadSanitizer: threads hammer applyGradients while
- * others snapshot and checkpoint concurrently.
+ * Concurrency stress tests of the global parameter store, written to
+ * run under ThreadSanitizer: threads hammer applyGradients / apply
+ * while others snapshot and checkpoint concurrently.
  *
  * The torn-read invariant: state is seeded with every element of
  * theta equal and every element of g equal, and every pushed gradient
  * is uniform, so each RMSProp update moves all elements by the same
  * amount. Any observation in which theta's elements differ is
  * therefore a torn (half-applied) read. rl::GlobalParams promises
- * this for snapshot() and checkpoint(); dist::ShardedParams promises
- * it for checkpoint() (all shard locks held) while snapshot() is
- * allowed to mix two adjacent versions across shards — but never
- * within one.
+ * this for both snapshot() forms and for checkpoint(): the trainers
+ * and the parameter server read through the same single mutex.
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +20,6 @@
 #include <thread>
 #include <vector>
 
-#include "dist/sharded_params.hh"
 #include "nn/a3c_network.hh"
 #include "rl/global_params.hh"
 
@@ -69,7 +66,7 @@ spread(const Range &r)
 TEST(GlobalParamsStress, ConcurrentPushSnapshotCheckpointStayTornFree)
 {
     rl::GlobalParams params(net(), {}, 1e-2f, 0);
-    params.restore(uniformParams(0.5f), uniformParams(0.0f), 0);
+    params.restore(uniformParams(0.5f), uniformParams(0.0f), 0, 0);
 
     std::atomic<bool> done{false};
     std::atomic<int> torn_snapshots{0};
@@ -94,9 +91,9 @@ TEST(GlobalParamsStress, ConcurrentPushSnapshotCheckpointStayTornFree)
     threads.emplace_back([&] {
         nn::ParamSet theta = net().makeParams();
         nn::ParamSet g = net().makeParams();
-        std::uint64_t steps = 0;
+        std::uint64_t steps = 0, version = 0;
         while (!done.load(std::memory_order_acquire)) {
-            params.checkpoint(theta, g, steps);
+            params.checkpoint(theta, g, steps, version);
             if (spread(theta.flat()) != 0.0f ||
                 spread(g.flat()) != 0.0f)
                 torn_checkpoints.fetch_add(1);
@@ -121,24 +118,33 @@ TEST(GlobalParamsStress, ConcurrentPushSnapshotCheckpointStayTornFree)
     EXPECT_LT(final_theta.flat()[0], 0.5f);
 }
 
-TEST(ShardedParamsStress, ConcurrentApplyAndCheckpointStayConsistent)
+TEST(GlobalParamsStress, ConcurrentApplyAndCheckpointStayConsistent)
 {
-    dist::ShardedParams params(net(), {}, 1e-2f, 0, 8);
+    // The parameter server's access pattern: flat apply() from the
+    // connection threads, flat snapshot() for pulls and acks, and the
+    // housekeeper's checkpoint(), all against one store.
+    rl::GlobalParams params(net(), {}, 1e-2f, 0);
     params.restore(uniformParams(0.5f), uniformParams(0.0f), 0, 0);
 
     std::atomic<bool> done{false};
     std::atomic<int> torn_checkpoints{0};
+    std::atomic<int> torn_snapshots{0};
+    std::atomic<int> version_regressions{0};
 
     std::vector<std::thread> threads;
     for (int p = 0; p < kPushers; ++p)
-        threads.emplace_back([&params] {
+        threads.emplace_back([&params, &version_regressions] {
             const nn::ParamSet grads = uniformParams(1.0f);
-            for (int i = 0; i < kPushesPerThread; ++i)
-                params.apply(grads.flat(), kStepsPerPush);
+            std::uint64_t last = 0;
+            for (int i = 0; i < kPushesPerThread; ++i) {
+                const std::uint64_t v =
+                    params.apply(grads.flat(), kStepsPerPush);
+                if (v <= last)
+                    version_regressions.fetch_add(1);
+                last = v;
+            }
         });
 
-    // checkpoint() holds every shard lock, so unlike snapshot() it
-    // must never observe a half-applied push.
     threads.emplace_back([&] {
         nn::ParamSet theta = net().makeParams();
         nn::ParamSet g = net().makeParams();
@@ -146,16 +152,18 @@ TEST(ShardedParamsStress, ConcurrentApplyAndCheckpointStayConsistent)
         while (!done.load(std::memory_order_acquire)) {
             params.checkpoint(theta, g, steps, version);
             if (spread(theta.flat()) != 0.0f ||
-                spread(g.flat()) != 0.0f)
+                spread(g.flat()) != 0.0f ||
+                steps != version * kStepsPerPush)
                 torn_checkpoints.fetch_add(1);
         }
     });
-    // snapshot() may legitimately mix two adjacent versions across
-    // shards; exercise it under TSAN for data-race coverage only.
     threads.emplace_back([&] {
         std::vector<float> flat;
-        while (!done.load(std::memory_order_acquire))
+        while (!done.load(std::memory_order_acquire)) {
             params.snapshot(flat);
+            if (spread(flat) != 0.0f)
+                torn_snapshots.fetch_add(1);
+        }
     });
 
     threads[0].join();
@@ -165,23 +173,26 @@ TEST(ShardedParamsStress, ConcurrentApplyAndCheckpointStayConsistent)
     threads[3].join();
 
     EXPECT_EQ(torn_checkpoints.load(), 0);
+    EXPECT_EQ(torn_snapshots.load(), 0);
+    EXPECT_EQ(version_regressions.load(), 0);
     EXPECT_EQ(params.version(),
               static_cast<std::uint64_t>(kPushers) * kPushesPerThread);
-    EXPECT_EQ(params.steps(),
+    EXPECT_EQ(params.globalSteps(),
               static_cast<std::uint64_t>(kPushers) * kPushesPerThread *
                   kStepsPerPush);
 
     std::vector<float> final_theta;
     params.snapshot(final_theta);
+    ASSERT_EQ(final_theta.size(), params.paramCount());
     EXPECT_EQ(spread(final_theta), 0.0f);
     EXPECT_LT(final_theta[0], 0.5f);
 }
 
-TEST(ShardedParamsStress, RestoreCheckpointRoundTripUnderLoad)
+TEST(GlobalParamsStress, RestoreCheckpointRoundTripUnderLoad)
 {
-    dist::ShardedParams params(net(), {}, 1e-2f, 0, 4);
+    rl::GlobalParams params(net(), {}, 1e-2f, 0);
     params.restore(uniformParams(1.0f), uniformParams(0.25f), 123, 45);
-    EXPECT_EQ(params.steps(), 123u);
+    EXPECT_EQ(params.globalSteps(), 123u);
     EXPECT_EQ(params.version(), 45u);
 
     nn::ParamSet theta = net().makeParams();
@@ -193,4 +204,8 @@ TEST(ShardedParamsStress, RestoreCheckpointRoundTripUnderLoad)
     EXPECT_EQ(spread(theta.flat()), 0.0f);
     EXPECT_FLOAT_EQ(theta.flat()[0], 1.0f);
     EXPECT_FLOAT_EQ(g.flat()[0], 0.25f);
+
+    // The version resumes from the restored value, not from zero.
+    EXPECT_EQ(params.apply(theta.flat(), 5), 46u);
+    EXPECT_EQ(params.globalSteps(), 128u);
 }

@@ -153,51 +153,61 @@ TEST(QuantBackend, ForwardBatchBitExactWithSingleForward)
 {
     // The quantized forward computes per-sample scales and shares the
     // batched FC path with the single forward, so batching must be
-    // bit-exact, for both quantized modes.
-    const nn::A3cNetwork net(nn::NetConfig::tiny(4));
-    sim::Rng rng(7);
-    nn::ParamSet params = net.makeParams();
-    net.initParams(params, rng);
+    // bit-exact, for both quantized modes. Nets as in the fp32 twin:
+    // tiny, the wide serving net (fc3 1024 x 2592; a batch of 8 is
+    // wide enough for the strip split across the kernel pool), and a
+    // 41-output head that takes the panel path instead of the rows.
+    nn::NetConfig wide = nn::NetConfig::atari(4);
+    wide.fcSize = 1024;
+    for (const nn::NetConfig &cfg :
+         {nn::NetConfig::tiny(4), wide, nn::NetConfig::tiny(40)}) {
+        for (const auto mode :
+             {nn::QuantMode::Int8, nn::QuantMode::Fp16}) {
+            const nn::A3cNetwork net(cfg);
+            SCOPED_TRACE("fcSize " + std::to_string(cfg.fcSize) +
+                         " outputs " + std::to_string(net.outSize()));
+            sim::Rng rng(7);
+            nn::ParamSet params = net.makeParams();
+            net.initParams(params, rng);
 
-    for (const auto mode :
-         {nn::QuantMode::Int8, nn::QuantMode::Fp16}) {
-        QuantCpuBackend batched(net, mode);
-        QuantCpuBackend single(net, mode);
-        batched.onParamSync(params);
-        single.onParamSync(params);
+            QuantCpuBackend batched(net, mode);
+            QuantCpuBackend single(net, mode);
+            batched.onParamSync(params);
+            single.onParamSync(params);
 
-        const int batch = 6;
-        std::vector<tensor::Tensor> obs;
-        std::vector<nn::A3cNetwork::Activations> acts;
-        for (int s = 0; s < batch; ++s) {
-            tensor::Tensor o(tensor::Shape({net.config().inChannels,
-                                            net.config().inHeight,
-                                            net.config().inWidth}));
-            randomize(o, rng);
-            // Observations are non-negative in the activation domain
-            // the quantized path is specified for.
-            for (std::size_t i = 0; i < o.numel(); ++i)
-                o.data()[i] = std::fabs(o.data()[i]);
-            obs.push_back(std::move(o));
-            acts.push_back(net.makeActivations());
-        }
-        std::vector<const tensor::Tensor *> obs_ptrs;
-        std::vector<nn::A3cNetwork::Activations *> act_ptrs;
-        for (int s = 0; s < batch; ++s) {
-            obs_ptrs.push_back(&obs[static_cast<std::size_t>(s)]);
-            act_ptrs.push_back(&acts[static_cast<std::size_t>(s)]);
-        }
-        batched.forwardBatch(params, obs_ptrs, act_ptrs);
+            const int batch = 8;
+            std::vector<tensor::Tensor> obs;
+            std::vector<nn::A3cNetwork::Activations> acts;
+            for (int s = 0; s < batch; ++s) {
+                tensor::Tensor o(tensor::Shape({net.config().inChannels,
+                                                net.config().inHeight,
+                                                net.config().inWidth}));
+                randomize(o, rng);
+                // Observations are non-negative in the activation domain
+                // the quantized path is specified for.
+                for (std::size_t i = 0; i < o.numel(); ++i)
+                    o.data()[i] = std::fabs(o.data()[i]);
+                obs.push_back(std::move(o));
+                acts.push_back(net.makeActivations());
+            }
+            std::vector<const tensor::Tensor *> obs_ptrs;
+            std::vector<nn::A3cNetwork::Activations *> act_ptrs;
+            for (int s = 0; s < batch; ++s) {
+                obs_ptrs.push_back(&obs[static_cast<std::size_t>(s)]);
+                act_ptrs.push_back(&acts[static_cast<std::size_t>(s)]);
+            }
+            batched.forwardBatch(params, obs_ptrs, act_ptrs);
 
-        for (int s = 0; s < batch; ++s) {
-            nn::A3cNetwork::Activations ref = net.makeActivations();
-            single.forward(params, obs[static_cast<std::size_t>(s)],
-                           ref);
-            const auto &got = acts[static_cast<std::size_t>(s)];
-            for (std::size_t i = 0; i < ref.out.numel(); ++i)
-                EXPECT_EQ(got.out.data()[i], ref.out.data()[i])
-                    << "mode " << static_cast<int>(mode) << " sample "
-                    << s << " out " << i;
+            for (int s = 0; s < batch; ++s) {
+                nn::A3cNetwork::Activations ref = net.makeActivations();
+                single.forward(params, obs[static_cast<std::size_t>(s)],
+                               ref);
+                const auto &got = acts[static_cast<std::size_t>(s)];
+                for (std::size_t i = 0; i < ref.out.numel(); ++i)
+                    EXPECT_EQ(got.out.data()[i], ref.out.data()[i])
+                        << "mode " << static_cast<int>(mode) << " sample "
+                        << s << " out " << i;
+            }
         }
     }
 }
